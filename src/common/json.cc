@@ -106,8 +106,13 @@ class Parser {
   bool value(Value* out) {
     if (pos_ >= s_.size()) return fail("unexpected end");
     const char c = s_[pos_];
-    if (c == '{') return object(out);
-    if (c == '[') return array(out);
+    if (c == '{' || c == '[') {
+      if (depth_ == kMaxParseDepth) return fail("nesting too deep");
+      ++depth_;
+      const bool ok = c == '{' ? object(out) : array(out);
+      --depth_;
+      return ok;
+    }
     if (c == '"') {
       out->type = Value::kString;
       return string(&out->str);
@@ -240,6 +245,7 @@ class Parser {
   const std::string& s_;
   std::size_t pos_ = 0;
   std::string err_;
+  int depth_ = 0;
 };
 
 }  // namespace

@@ -37,6 +37,11 @@ struct Value {
   bool is_bool() const { return type == kBool; }
 };
 
+/// Deepest array/object nesting `parse` accepts. The parser recurses once per
+/// level, so deeper input is rejected as a parse error instead of
+/// overflowing the stack.
+inline constexpr int kMaxParseDepth = 512;
+
 /// Parses `text` as one JSON document (no trailing garbage). Returns false
 /// and fills `err` (if non-null) with a position-annotated reason on failure.
 bool parse(const std::string& text, Value* out, std::string* err);

@@ -1,6 +1,7 @@
 #include "exp/cli.h"
 
 #include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <sstream>
@@ -17,7 +18,7 @@ bool parse_scale_str(const std::string& s, double* out) {
   char* end = nullptr;
   const double v = std::strtod(s.c_str(), &end);
   if (errno != 0 || end != s.c_str() + s.size() || s.empty()) return false;
-  if (!(v > 0)) return false;
+  if (!(v > 0) || !std::isfinite(v)) return false;
   *out = v;
   return true;
 }

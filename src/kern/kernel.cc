@@ -13,22 +13,6 @@ thread_local Task* g_current_task = nullptr;
 Task* task_of(sched::SchedEntity* se) { return static_cast<Task*>(se->task); }
 }  // namespace
 
-const char* to_string(TaskState s) {
-  switch (s) {
-    case TaskState::kNew:
-      return "new";
-    case TaskState::kRunnable:
-      return "runnable";
-    case TaskState::kRunning:
-      return "running";
-    case TaskState::kSleeping:
-      return "sleeping";
-    case TaskState::kExited:
-      return "exited";
-  }
-  return "?";
-}
-
 Kernel::Kernel(KernelConfig cfg)
     : cfg_(std::move(cfg)),
       tracer_(&engine_, cfg_.topo.n_cores(), cfg_.trace),
@@ -101,7 +85,7 @@ void Kernel::attach_coroutine(Task* t, std::coroutine_handle<> top) {
 }
 
 void Kernel::start_task(Task* t, int cpu) {
-  EO_CHECK(t->state == TaskState::kNew);
+  EO_CHECK(!t->delay.started());
   EO_CHECK(t->top) << "start_task before attach_coroutine";
   if (cpu < 0) {
     // Round-robin over online cores.
@@ -111,7 +95,6 @@ void Kernel::start_task(Task* t, int cpu) {
     } while (!core(cpu).online);
   }
   EO_CHECK(core(cpu).online);
-  t->state = TaskState::kRunnable;
   t->delay.start(now(), obs::TaskDelayState::kRunnable);
   t->last_cpu = cpu;
   ++live_tasks_;
@@ -217,7 +200,6 @@ void Kernel::set_online_cores(int n) {
       Core& d = core(dst);
       const bool cross = !cfg_.topo.same_socket(c.id, d.id);
       (cross ? stats_.migrations_cross_node : stats_.migrations_in_node)++;
-      ++t->stats.migrations;
       t->resume_penalty = std::max(
           t->resume_penalty,
           cache_.migration_penalty(t->mem.working_set, cross) +
@@ -346,62 +328,20 @@ void Kernel::collect_sample(obs::CoreSample* cores,
   g->online_cores = n_online_;
   g->tasks_runnable = 0;
   g->tasks_sleeping = 0;
+  // Taskstats conservation (state times sum to lifetime), fed to the
+  // watchdog's taskstats_conserved invariant.
+  g->taskstats_bad = 0;
   for (const auto& tp : tasks_) {
-    switch (tp->state) {
-      case TaskState::kRunnable:
-      case TaskState::kRunning:
-        ++g->tasks_runnable;
-        break;
-      case TaskState::kSleeping:
-        ++g->tasks_sleeping;
-        break;
-      case TaskState::kNew:
-      case TaskState::kExited:
-        break;
-    }
+    const Task& t = *tp;
+    if (!t.delay.conserved(now())) ++g->taskstats_bad;
+    if (!t.delay.started() || t.exited()) continue;
+    ++(t.blocked() ? g->tasks_sleeping : g->tasks_runnable);
   }
   g->context_switches = stats_.context_switches;
   g->wakeups = stats_.wakeups;
   g->migrations = stats_.total_migrations();
   g->vb_parks = stats_.vb_parks;
   g->vb_unparks = stats_.vb_unparks;
-  // Taskstats conservation + consistency cross-check, fed to the watchdog.
-  // Conservation (state times sum to lifetime) is necessary; the kernel-state
-  // mapping makes the check non-vacuous: a transition hook wired to the wrong
-  // call site shows up as a delay state the kernel state forbids.
-  g->taskstats_bad = 0;
-  for (const auto& tp : tasks_) {
-    const Task& t = *tp;
-    bool ok = t.delay.conserved(now());
-    if (obs::kTaskstatsEnabled && ok) {
-      switch (t.state) {
-        case TaskState::kNew:
-          ok = !t.delay.started();
-          break;
-        case TaskState::kRunnable:
-          ok = t.delay.started() && !t.delay.finished() &&
-               (t.delay.state() == obs::TaskDelayState::kRunnable ||
-                t.delay.state() == obs::TaskDelayState::kVbParked ||
-                t.delay.state() == obs::TaskDelayState::kBwdSkipDelayed ||
-                t.delay.state() == obs::TaskDelayState::kMigrating);
-          break;
-        case TaskState::kRunning:
-          ok = t.delay.started() && !t.delay.finished() &&
-               t.delay.state() == obs::TaskDelayState::kOncpu;
-          break;
-        case TaskState::kSleeping:
-          ok = t.delay.started() && !t.delay.finished() &&
-               (t.delay.state() == obs::TaskDelayState::kFutexBlocked ||
-                t.delay.state() == obs::TaskDelayState::kEpollBlocked ||
-                t.delay.state() == obs::TaskDelayState::kSleeping);
-          break;
-        case TaskState::kExited:
-          ok = t.delay.finished();
-          break;
-      }
-    }
-    if (!ok) ++g->taskstats_bad;
-  }
 }
 
 obs::MetricsDoc Kernel::snapshot_metrics() const {
@@ -476,7 +416,6 @@ void Kernel::account_segment(Core& c) {
   }
   if (c.seg_kind == hw::SegmentKind::kSpin) {
     c.metrics.spin_busy += dur;
-    c.current->stats.spin_time += dur;
     if (ple_.enabled() && c.seg_pause) {
       const auto exits = ple_.exits_for(dur);
       stats_.ple_exits += exits;
@@ -502,7 +441,6 @@ void Kernel::account_tick(Core& c) {
   if (ran < 0) ran = 0;
   policy_->account(c.id, ran + t->overhead);
   t->overhead = 0;
-  t->stats.cpu_time += ran;
   t->se.exec_start = now();
 }
 
@@ -592,7 +530,6 @@ void Kernel::schedule(Core& c) {
                  real_switch ? 1u : 0u);
   c.last_task = t;
   c.current = t;
-  t->state = TaskState::kRunning;
   // Time on a core is on-CPU time, including the switch-in cost below and VB
   // flag-check quanta — the paper's direct oversubscription cost.
   t->delay.transition(now(), obs::TaskDelayState::kOncpu);
@@ -732,7 +669,8 @@ void Kernel::resume_step(Core& c, Task* t) {
       return;
     }
     EO_CHECK(false) << "unhandled action index " << t->pending.index()
-                    << " task=" << t->name << " state=" << to_string(t->state)
+                    << " task=" << t->name
+                    << " state=" << obs::to_string(t->delay.state())
                     << " now=" << now();
   }
 }
@@ -881,7 +819,7 @@ void Kernel::notify_spinners(SimWord* word) {
 }
 
 void Kernel::spin_exit_event(Task* t, SimWord* w) {
-  if (t->state != TaskState::kRunning) return;
+  if (!t->running()) return;
   auto* a = std::get_if<SpinUntilAction>(&t->pending);
   if (a == nullptr || !a->exit_scheduled) return;
   EO_CHECK_GE(t->se.cpu, 0);
@@ -929,19 +867,12 @@ void Kernel::deschedule_current(Core& c, bool requeue, bool voluntary) {
   account_segment(c);
   stop_run(c);
   account_tick(c);
-  if (voluntary) {
-    ++t->stats.voluntary_switches;
-    ++stats_.voluntary_switches;
-  } else {
-    ++t->stats.involuntary_switches;
-    ++stats_.involuntary_switches;
-  }
+  ++(voluntary ? stats_.voluntary_switches : stats_.involuntary_switches);
   EO_TRACE_EVENT(&tracer_, c.id, trace::EventKind::kSwitchOut, t->tid,
                  static_cast<std::uint64_t>(t->se.vruntime),
                  voluntary ? 1u : 0u);
   policy_->put_prev(c.id, &t->se);
   if (requeue) {
-    t->state = TaskState::kRunnable;
     // A VB-parked task back on the queue waits in kVbParked; otherwise this
     // is plain runqueue wait. Callers that requeue for a different reason
     // (BWD skip, VB park-in-progress) refine the state right after, at the
@@ -950,8 +881,8 @@ void Kernel::deschedule_current(Core& c, bool requeue, bool voluntary) {
                                    ? obs::TaskDelayState::kVbParked
                                    : obs::TaskDelayState::kRunnable);
   } else {
-    // Blocking/exit paths: the caller sets the task's new state (and its
-    // delay state) immediately after.
+    // Blocking/exit paths: the caller sets the task's new delay state
+    // immediately after.
     policy_->dequeue(c.id, &t->se);
   }
   c.current = nullptr;
@@ -1083,13 +1014,10 @@ bool Kernel::handle_futex_wait(Core& c, Task* t, const FutexWaitAction& a) {
   b.waiters.push_back(&t->waiter);
   t->wait_word = a.word;
   t->vb_waiting = vb;
-  t->block_start = now();
-  ++t->stats.futex_waits;
   EO_TRACE_EVENT(&tracer_, c.id, trace::EventKind::kFutexWait, t->tid,
                  a.word->id_, vb ? 1u : 0u);
   if (vb) {
     ++stats_.vb_parks;
-    ++t->stats.vb_parks;
     t->overhead += cost + cfg_.costs.vb_park;
     deschedule_current(c, /*requeue=*/true, /*voluntary=*/true);
     policy_->vb_park(c.id, &t->se);
@@ -1099,7 +1027,6 @@ bool Kernel::handle_futex_wait(Core& c, Task* t, const FutexWaitAction& a) {
     if (!vb && cfg_.features.vb_futex) ++stats_.vb_fallback_vanilla;
     t->overhead += cost + cfg_.costs.futex_wait_setup;
     deschedule_current(c, /*requeue=*/false, /*voluntary=*/true);
-    t->state = TaskState::kSleeping;
     t->delay.transition(now(), obs::TaskDelayState::kFutexBlocked);
   }
   schedule(c);
@@ -1197,7 +1124,7 @@ void Kernel::wake_chain_step(WakeChain* chain) {
   EO_TRACE_EVENT(&tracer_, waker_cpu, trace::EventKind::kWakeupEnd,
                  w->tid, result, 0);
   finish_action(w, result);
-  if (w->state != TaskState::kRunning) {
+  if (!w->running()) {
     // Waker was evicted (core offlining); it resumes when next scheduled.
     return;
   }
@@ -1241,10 +1168,8 @@ int Kernel::select_wake_cpu(Task* t) {
 }
 
 SimDuration Kernel::wake_task_vanilla(Task* t) {
-  EO_CHECK(t->state == TaskState::kSleeping);
+  EO_CHECK(t->blocked());
   ++stats_.wakeups;
-  ++t->stats.wakeups;
-  t->stats.sleep_time += now() - t->block_start;
   t->wait_word = nullptr;
   t->wait_epfd = -1;
   SimDuration cost =
@@ -1258,7 +1183,6 @@ SimDuration Kernel::wake_task_vanilla(Task* t) {
     ++stats_.wakeup_migrations;
     const bool cross = !cfg_.topo.same_socket(cpu, t->last_cpu);
     (cross ? stats_.migrations_cross_node : stats_.migrations_in_node)++;
-    ++t->stats.migrations;
     t->resume_penalty = std::max(
         t->resume_penalty, cache_.migration_penalty(t->mem.working_set,
                                                     cross) +
@@ -1267,7 +1191,6 @@ SimDuration Kernel::wake_task_vanilla(Task* t) {
                    static_cast<std::uint64_t>(t->last_cpu),
                    static_cast<std::uint64_t>(cpu));
   }
-  t->state = TaskState::kRunnable;
   // Cross-CPU wakeup placements charge the post-wake queue wait to
   // kMigrating (the cache-cold dispatch delay); same-CPU wakes to kRunnable.
   t->delay.transition(now(), wake_migrated ? obs::TaskDelayState::kMigrating
@@ -1285,8 +1208,6 @@ SimDuration Kernel::wake_task_vb(Task* t) {
   EO_CHECK(t->vb_waiting);
   ++stats_.vb_unparks;
   ++stats_.wakeups;
-  ++t->stats.wakeups;
-  t->stats.sleep_time += now() - t->block_start;
   t->wait_word = nullptr;
   t->wait_epfd = -1;
   t->vb_waiting = false;
@@ -1301,7 +1222,6 @@ SimDuration Kernel::wake_task_vb(Task* t) {
     policy_->vb_clear_current(tc.id, &t->se);
   } else {
     policy_->vb_unpark(tc.id, &t->se);
-    t->state = TaskState::kRunnable;
     // Unparked: the remaining queue wait is ordinary rq wait, not park time.
     t->delay.transition(now(), obs::TaskDelayState::kRunnable);
     maybe_preempt(tc, &t->se);
@@ -1332,12 +1252,10 @@ bool Kernel::handle_epoll_wait(Core& c, Task* t, const EpollWaitAction& a) {
   ep.waiters.push_back(epollsim::EpollWaiter{t, vb});
   t->wait_epfd = a.epfd;
   t->vb_waiting = vb;
-  t->block_start = now();
   EO_TRACE_EVENT(&tracer_, c.id, trace::EventKind::kEpollWait, t->tid,
                  static_cast<std::uint64_t>(a.epfd), vb ? 1u : 0u);
   if (vb) {
     ++stats_.vb_parks;
-    ++t->stats.vb_parks;
     t->overhead += cost + cfg_.costs.vb_park;
     deschedule_current(c, /*requeue=*/true, /*voluntary=*/true);
     policy_->vb_park(c.id, &t->se);
@@ -1346,7 +1264,6 @@ bool Kernel::handle_epoll_wait(Core& c, Task* t, const EpollWaitAction& a) {
     ++stats_.futex_sleeps;
     t->overhead += cost + cfg_.costs.futex_wait_setup;
     deschedule_current(c, /*requeue=*/false, /*voluntary=*/true);
-    t->state = TaskState::kSleeping;
     t->delay.transition(now(), obs::TaskDelayState::kEpollBlocked);
   }
   schedule(c);
@@ -1409,16 +1326,14 @@ void Kernel::epoll_post_external(int epfd, std::uint64_t data) {
 // ---------------------------------------------------------------------------
 
 void Kernel::handle_sleep(Core& c, Task* t, const SleepAction& a) {
-  t->block_start = now();
   EO_TRACE_EVENT(&tracer_, c.id, trace::EventKind::kSleep, t->tid,
                  a.duration > 0 ? static_cast<std::uint64_t>(a.duration) : 1u,
                  0);
   deschedule_current(c, /*requeue=*/false, /*voluntary=*/true);
-  t->state = TaskState::kSleeping;
   t->delay.transition(now(), obs::TaskDelayState::kSleeping);
   const SimDuration d = std::max<SimDuration>(a.duration, 1);
   engine_.schedule_after(d, [this, t] {
-    if (t->state != TaskState::kSleeping) return;
+    if (!t->blocked()) return;
     finish_action(t, 0);
     wake_task_vanilla(t);
   });
@@ -1428,7 +1343,6 @@ void Kernel::handle_sleep(Core& c, Task* t, const SleepAction& a) {
 void Kernel::handle_exit(Core& c, Task* t) {
   EO_TRACE_EVENT(&tracer_, c.id, trace::EventKind::kTaskExit, t->tid, 0, 0);
   deschedule_current(c, /*requeue=*/false, /*voluntary=*/true);
-  t->state = TaskState::kExited;
   // The final interval (still kOncpu: exit happens from the CPU) is charged
   // and the record sealed; lifetime is now fixed.
   t->delay.finish(now());
@@ -1455,7 +1369,6 @@ void Kernel::bwd_timer_fire(Core& c) {
     if (t != nullptr && !t->in_kernel && !c.in_switch &&
         policy_->nr_schedulable(c.id) > 0) {
       ++stats_.bwd_descheduled;
-      ++t->stats.bwd_descheduled;
       EO_TRACE_EVENT(&tracer_, c.id, trace::EventKind::kBwdDesched, t->tid,
                      verdict.ground_truth_spin ? 1u : 0u, 0);
       deschedule_current(c, /*requeue=*/true, /*voluntary=*/false);
@@ -1498,7 +1411,6 @@ void Kernel::apply_migration(const sched::BalanceDecision& d) {
   policy_->dequeue(d.src_cpu, d.victim);
   (d.cross_socket ? stats_.migrations_cross_node
                   : stats_.migrations_in_node)++;
-  ++t->stats.migrations;
   t->resume_penalty = std::max(
       t->resume_penalty,
       cache_.migration_penalty(t->mem.working_set, d.cross_socket) +

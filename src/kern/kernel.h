@@ -70,9 +70,8 @@ struct KernelConfig {
   obs::SamplerConfig metrics;
   /// Export the per-task delay accounting (sim-taskstats) as an
   /// `eo-taskstats` section of the metrics snapshot. The accounting itself
-  /// is always maintained when metrics are compiled in (it is pure
-  /// bookkeeping and never perturbs the simulation); this flag only gates
-  /// the export.
+  /// is always maintained (it is the task's state, pure bookkeeping that
+  /// never perturbs the simulation); this flag only gates the export.
   bool taskstats = false;
 };
 
@@ -265,7 +264,7 @@ class Kernel {
   /// removes current from the core (requeue => stays runnable).
   void deschedule_current(Core& c, bool requeue, bool voluntary);
   void account_segment(Core& c);
-  /// Charges vruntime/cpu_time for execution since exec_start and restarts
+  /// Charges vruntime for execution since exec_start and restarts
   /// the interval (slice renewal).
   void account_tick(Core& c);
   void set_segment(Core& c, hw::SegmentKind kind, hw::BranchSite site,

@@ -1,8 +1,8 @@
 // Simulated task (thread).
 //
-// The analogue of `task_struct`: identity, run state, the embedded
-// scheduling entity, the coroutine driving the thread's program, the pending
-// action being interpreted by the kernel, and per-task statistics.
+// The analogue of `task_struct`: identity, the embedded scheduling entity,
+// the coroutine driving the thread's program, the pending action being
+// interpreted by the kernel, and the delay record that is the task's state.
 #pragma once
 
 #include <coroutine>
@@ -19,29 +19,6 @@
 
 namespace eo::kern {
 
-enum class TaskState {
-  kNew,       ///< created, not yet started
-  kRunnable,  ///< on a runqueue (possibly VB-parked)
-  kRunning,   ///< currently on a core
-  kSleeping,  ///< off the runqueue (vanilla blocking or nanosleep)
-  kExited,
-};
-
-const char* to_string(TaskState s);
-
-struct TaskStats {
-  SimDuration cpu_time = 0;       ///< wall time on a core (incl. spinning)
-  SimDuration spin_time = 0;      ///< portion of cpu_time spent busy-waiting
-  SimDuration sleep_time = 0;     ///< time blocked (vanilla sleep or VB park)
-  std::uint64_t voluntary_switches = 0;
-  std::uint64_t involuntary_switches = 0;
-  std::uint64_t migrations = 0;
-  std::uint64_t wakeups = 0;
-  std::uint64_t futex_waits = 0;
-  std::uint64_t vb_parks = 0;
-  std::uint64_t bwd_descheduled = 0;
-};
-
 struct Task {
   Task(int tid_in, std::string name_in) : tid(tid_in), name(std::move(name_in)) {
     se.task = this;
@@ -56,7 +33,6 @@ struct Task {
 
   int tid;
   std::string name;
-  TaskState state = TaskState::kNew;
   sched::SchedEntity se;
 
   /// Owning handle of the thread's top-level coroutine.
@@ -97,25 +73,36 @@ struct Task {
   int wait_epfd = -1;
   /// Blocked via virtual blocking (still on the runqueue) vs vanilla sleep.
   bool vb_waiting = false;
-  /// Time the current block started (for sleep_time accounting).
-  SimTime block_start = 0;
   /// Time the task last became runnable after an unblock; -1 when it has
   /// already run since. Feeds the wakeup-latency histogram and trace.
   SimTime runnable_since = -1;
 
-  TaskStats stats;
-
-  /// Per-state delay accounting (sim-taskstats): every instant of the task's
-  /// lifetime is attributed to exactly one obs::TaskDelayState. Updated at
-  /// the kernel's state-transition points; the sampler cross-checks the
-  /// conservation invariant (state times sum to lifetime) on every tick.
+  /// The task's state and per-state delay accounting (sim-taskstats): every
+  /// instant of the task's lifetime is attributed to exactly one
+  /// obs::TaskDelayState. Updated at the kernel's state-transition points;
+  /// the sampler checks the conservation invariant (state times sum to
+  /// lifetime) on every tick. The record starts in Kernel::start_task.
   obs::TaskDelayAcct delay;
 
   /// Keeps the thread-function object (lambda captures) alive for the
   /// coroutine frame's lifetime.
   std::shared_ptr<void> keepalive;
 
-  bool exited() const { return state == TaskState::kExited; }
+  bool exited() const { return delay.finished(); }
+  /// On a core. A finished record keeps its last state, kOncpu (tasks exit
+  /// from a core), so an exited task must be ruled out explicitly.
+  bool running() const {
+    return delay.started() && !delay.finished() &&
+           delay.state() == obs::TaskDelayState::kOncpu;
+  }
+  /// Off the runqueue: vanilla futex/epoll blocking or a timed sleep. A
+  /// VB-parked task stays on its runqueue, so it is not blocked.
+  bool blocked() const {
+    const obs::TaskDelayState s = delay.state();
+    return s == obs::TaskDelayState::kFutexBlocked ||
+           s == obs::TaskDelayState::kEpollBlocked ||
+           s == obs::TaskDelayState::kSleeping;
+  }
 };
 
 }  // namespace eo::kern

@@ -4,8 +4,7 @@
 //
 //  * counters — monotonically increasing uint64 cells. The hot-path handle
 //    (`Counter`) is a raw pointer increment: no name lookup, no branch, no
-//    indirection beyond the cell itself. With `EO_METRICS=OFF` (CMake) the
-//    increment compiles to nothing, mirroring `EO_TRACE`.
+//    indirection beyond the cell itself.
 //  * gauges — instantaneous int64 values read through a callback at snapshot
 //    time (live tasks, online cores). Never on the hot path.
 //  * histograms — pointers to externally owned `Histogram`s (wakeup latency);
@@ -31,19 +30,13 @@ class Histogram;
 
 namespace eo::obs {
 
-/// Hot-path counter handle: one 64-bit add, or nothing when EO_METRICS=OFF.
+/// Hot-path counter handle: one 64-bit add.
 class Counter {
  public:
   /// Unwired handle: increments land in a thread-local sink cell.
   Counter();
 
-  void inc(std::uint64_t n = 1) const {
-#if defined(EO_METRICS_ENABLED) && EO_METRICS_ENABLED
-    *cell_ += n;
-#else
-    (void)n;
-#endif
-  }
+  void inc(std::uint64_t n = 1) const { *cell_ += n; }
 
  private:
   friend class MetricRegistry;

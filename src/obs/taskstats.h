@@ -8,10 +8,9 @@
 // existing kernel state-change points (schedule/deschedule, futex/epoll
 // wait+wake, VB park/unpark, BWD timer fire, load-balance migration), so the
 // accounting is exact by construction: the integer state times always sum to
-// the kernel's wall-clock ground truth for the task. The sampler cross-checks
-// that conservation (plus kernel-state <-> delay-state consistency) on every
-// tick and the invariant watchdog records any discrepancy as a
-// `taskstats_conserved` violation.
+// the kernel's wall-clock ground truth for the task. The sampler checks that
+// conservation on every tick and the invariant watchdog records any
+// discrepancy as a `taskstats_conserved` violation.
 //
 // On top of the raw accumulators:
 //  * `TaskstatsDoc` — a per-kernel snapshot (one record per task, creation
@@ -25,9 +24,9 @@
 //    `traffic::BlameBreakdown`).
 //
 // Everything is allocation-free on the simulation hot path (the accumulators
-// are plain arrays inside `Task`), deterministic (snapshots are pure
-// functions of the simulation), and compiles to no-ops under
-// CMake `-DEO_METRICS=OFF`.
+// are plain arrays inside `Task`) and deterministic (snapshots are pure
+// functions of the simulation). The record is also the kernel's only copy of
+// a task's state: `kern::Task`'s `running()`/`blocked()`/`exited()` read it.
 #pragma once
 
 #include <cstddef>
@@ -86,12 +85,6 @@ inline constexpr std::size_t kNumTaskDelayStates = 8;
 /// Wire name ("oncpu", "vb_parked", ...).
 const char* to_string(TaskDelayState s);
 
-#if defined(EO_METRICS_ENABLED) && EO_METRICS_ENABLED
-inline constexpr bool kTaskstatsEnabled = true;
-#else
-inline constexpr bool kTaskstatsEnabled = false;
-#endif
-
 /// A point-in-time copy of one task's accumulated state times. The open
 /// interval since the last transition is charged to the current state, so
 /// `total()` equals the task's lifetime at the snapshot instant exactly
@@ -119,12 +112,9 @@ struct TaskDelaySnapshot {
   }
 };
 
-/// The fixed-size accumulator embedded in `kern::Task`. All methods are
-/// no-ops when metrics are compiled out, so the kernel call sites need no
-/// `#ifdef`s and a `-DEO_METRICS=OFF` build pays nothing.
+/// The fixed-size accumulator embedded in `kern::Task`.
 class TaskDelayAcct {
  public:
-#if defined(EO_METRICS_ENABLED) && EO_METRICS_ENABLED
   /// Begins accounting at task start (kernel `start_task`).
   void start(SimTime now, TaskDelayState s) {
     start_ = now;
@@ -192,17 +182,6 @@ class TaskDelayAcct {
   TaskDelayState state_ = TaskDelayState::kRunnable;
   bool started_ = false;
   bool finished_ = false;
-#else
-  void start(SimTime, TaskDelayState) {}
-  void transition(SimTime, TaskDelayState) {}
-  void finish(SimTime) {}
-  bool started() const { return false; }
-  bool finished() const { return false; }
-  TaskDelayState state() const { return TaskDelayState::kRunnable; }
-  SimDuration lifetime(SimTime) const { return 0; }
-  TaskDelaySnapshot snapshot(SimTime) const { return {}; }
-  bool conserved(SimTime) const { return true; }
-#endif
 };
 
 // --- the eo-taskstats document -------------------------------------------

@@ -177,7 +177,6 @@ class ServeHost {
   std::uint32_t pending() const { return live_slots_; }
   int epoll_fd() const { return epfd_; }
   /// Windowed critical-path decomposition of completed-request latency.
-  /// All-zero (except `requests`) when metrics are compiled out.
   const BlameBreakdown& blame() const { return blame_; }
 
  private:

@@ -78,6 +78,11 @@ TEST(CliTest, RejectsGarbageScale) {
   EXPECT_NE(err.find("invalid scale"), std::string::npos);
   EXPECT_FALSE(try_parse({"0"}, plain_spec(), &cli, &err));
   EXPECT_FALSE(try_parse({"-1"}, plain_spec(), &cli, &err));
+  for (const char* nonfinite : {"inf", "INF", "infinity", "nan"}) {
+    EXPECT_FALSE(try_parse({nonfinite}, plain_spec(), &cli, &err))
+        << nonfinite;
+    EXPECT_NE(err.find("invalid scale"), std::string::npos) << nonfinite;
+  }
 }
 
 TEST(CliTest, RejectsExtraPositional) {

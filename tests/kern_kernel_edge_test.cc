@@ -191,7 +191,7 @@ TEST(KernelEdge, ZeroWakeOnEmptyAndMismatchedWord) {
   EXPECT_EQ(woken_b, 0u) << "wake must match the futex word, not the bucket";
 }
 
-TEST(KernelEdge, TaskStatsAccumulate) {
+TEST(KernelEdge, OncpuTimeAccumulates) {
   KernelConfig c;
   c.topo = hw::Topology::make_cores(1, 1);
   Kernel k(c);
@@ -208,8 +208,47 @@ TEST(KernelEdge, TaskStatsAccumulate) {
   });
   ASSERT_TRUE(k.run_to_exit(2_s));
   const auto& a = *k.tasks()[0];
-  EXPECT_NEAR(static_cast<double>(a.stats.cpu_time), 5e6, 5e5);
-  EXPECT_GE(a.stats.voluntary_switches, 10u);
+  const SimDuration oncpu =
+      a.delay.snapshot(k.now())[obs::TaskDelayState::kOncpu];
+  EXPECT_NEAR(static_cast<double>(oncpu), 5e6, 5e5);
+  EXPECT_GE(k.stats().voluntary_switches, 10u);
+}
+
+// Task state is read off the delay record: never started, blocked inside a
+// vanilla futex_wait, and exited even though the sealed record's last state
+// is kOncpu (tasks exit from a core).
+TEST(KernelEdge, TaskPredicatesFollowTheDelayRecord) {
+  KernelConfig c;
+  c.topo = hw::Topology::make_cores(2, 1);
+  Kernel k(c);  // vanilla features: futex_wait really sleeps
+  const kern::Task* fresh = k.create_task("never-started");
+  EXPECT_FALSE(fresh->running());
+  EXPECT_FALSE(fresh->exited());
+  kern::SimWord* w = k.alloc_word(0);
+  kern::Task* waiter = runtime::spawn(k, "waiter", [w](Env env) -> SimThread {
+    co_await env.futex_wait(w, 0);
+    co_return;
+  });
+  bool waiter_blocked = false;
+  bool waiter_running = true;
+  bool waker_running = false;
+  runtime::spawn(k, "waker", [&, w](Env env) -> SimThread {
+    co_await env.compute(1_ms);
+    waiter_blocked = waiter->blocked();
+    waiter_running = waiter->running();
+    waker_running = Kernel::current()->running();
+    co_await env.store(w, 1);
+    co_await env.futex_wake(w, 1);
+    co_return;
+  });
+  ASSERT_TRUE(k.run_to_exit(1_s));
+  EXPECT_TRUE(waiter_blocked);
+  EXPECT_FALSE(waiter_running);
+  EXPECT_TRUE(waker_running);
+  EXPECT_TRUE(waiter->exited());
+  EXPECT_FALSE(waiter->running());
+  EXPECT_FALSE(waiter->blocked());
+  EXPECT_EQ(waiter->delay.state(), obs::TaskDelayState::kOncpu);
 }
 
 }  // namespace

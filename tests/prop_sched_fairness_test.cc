@@ -30,9 +30,11 @@ TEST_P(FairnessSweep, CpuTimeSharedFairly) {
   k.run_until(horizon);
   SimDuration min_cpu = horizon, max_cpu = 0, total = 0;
   for (const auto& t : k.tasks()) {
-    min_cpu = std::min(min_cpu, t->stats.cpu_time);
-    max_cpu = std::max(max_cpu, t->stats.cpu_time);
-    total += t->stats.cpu_time;
+    const SimDuration cpu =
+        t->delay.snapshot(k.now())[obs::TaskDelayState::kOncpu];
+    min_cpu = std::min(min_cpu, cpu);
+    max_cpu = std::max(max_cpu, cpu);
+    total += cpu;
   }
   // Fairness: no compute-bound thread gets less than 60% of its fair share
   // or more than ~1.7x of it.
