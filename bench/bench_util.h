@@ -24,6 +24,7 @@
 
 #include <memory>
 
+#include "common/json.h"
 #include "exp/cli.h"
 #include "exp/result.h"
 #include "exp/runner.h"
@@ -154,7 +155,8 @@ inline bool export_taskstats_folded(
     return false;
   }
   std::string err;
-  if (!obs::export_folded_to_file(*doc, workload, cli.taskstats_path, &err)) {
+  if (!json::write_file(cli.taskstats_path, obs::render_folded(*doc, workload),
+                        nullptr, &err)) {
     std::fprintf(stderr, "taskstats: export failed: %s\n", err.c_str());
     return false;
   }
@@ -213,14 +215,17 @@ inline bool export_and_check_metrics(const metrics::RunResult& r,
 
 /// Sweep-level telemetry check: every ran cell must report zero watchdog
 /// violations, and one representative cell's document is exported per the
-/// --metrics* flags. Returns true when --metrics is off or all cells pass.
-inline bool check_sweep_metrics(const exp::Outcomes& out, const Cli& cli) {
+/// --metrics* flags. With --taskstats=<path>, the same cell's folded-stack
+/// state flamegraph is exported too, rooted at `folded_root` (the cell id
+/// when empty). Returns true when --metrics is off or all cells pass.
+inline bool check_sweep_metrics(const exp::Outcomes& out, const Cli& cli,
+                                const std::string& folded_root = "") {
   if (!cli.metrics) return true;
-  const metrics::RunResult* rep = nullptr;
+  const exp::CellOutcome* rep = nullptr;
   bool ok = true;
   for (const auto& o : out) {
     if (!o.ran() || !o.run.metrics) continue;
-    if (!rep) rep = &o.run;
+    if (!rep) rep = &o;
     const obs::MetricsDoc& m = *o.run.metrics;
     if (m.watchdog_violations != 0) {
       std::fprintf(stderr,
@@ -234,7 +239,11 @@ inline bool check_sweep_metrics(const exp::Outcomes& out, const Cli& cli) {
     std::fprintf(stderr, "metrics: no cell captured telemetry\n");
     return false;
   }
-  return export_and_check_metrics(*rep, cli) && ok;
+  ok = export_and_check_metrics(rep->run, cli) && ok;
+  return export_taskstats_folded(
+             rep->run.taskstats, cli,
+             folded_root.empty() ? rep->cell.id() : folded_root) &&
+         ok;
 }
 
 /// Fleet-level telemetry check (--fleet-metrics benches): every ran cell

@@ -6,7 +6,6 @@
 // 32 cores; pinning cannot adapt (paper: programs crashed when the core
 // count decreased — reported here as "crash"), and leaves added cores unused.
 #include <iostream>
-#include <memory>
 
 #include "bench_util.h"
 #include "runtime/sim_thread.h"
@@ -50,14 +49,7 @@ exp::CellRun run_one(const workloads::BenchmarkSpec& spec, int threads,
   k.run_until(5_ms);
   if (cores != 8) k.set_online_cores(cores);
   const bool done = k.run_to_exit(cfg.deadline);
-  exp::CellRun res;
-  res.run.completed = done;
-  res.run.exec_time = done ? k.last_exit_time() : k.now();
-  res.run.stats = k.stats();
-  res.run.pinned_violation = k.pinned_violation();
-  if (k.sampler().enabled()) {
-    res.run.metrics = std::make_shared<obs::MetricsDoc>(k.snapshot_metrics());
-  }
+  exp::CellRun res(metrics::read_out(k, cfg, done));
   // Pinning to a core that is taken away kills the run in practice.
   res.set("crashed", pinned && k.pinned_violation() ? 1.0 : 0.0);
   if (pinned && k.pinned_violation()) {

@@ -53,13 +53,10 @@ exp::CellRun run_one(int workers, double rate, const metrics::RunConfig& cfg,
   server.stop();
   k.run_to_exit(k.now() + 1_s);
 
-  exp::CellRun r;
-  r.run.completed = true;  // open-loop: the window always closes
+  // Open-loop: the window always closes, and the measured span is the
+  // window plus the drain.
+  exp::CellRun r(metrics::read_out(k, cfg, /*completed=*/true));
   r.run.exec_time = window + 100_ms;
-  r.run.stats = k.stats();
-  if (k.sampler().enabled()) {
-    r.run.metrics = std::make_shared<obs::MetricsDoc>(k.snapshot_metrics());
-  }
   r.set("tput_ops_s", server.latencies().throughput(window + 100_ms))
       .set("avg_us", server.latencies().mean_us())
       .set("p95_us", server.latencies().p95_us())

@@ -80,8 +80,7 @@ exp::CellRun run_one(
     const exp::Cell& cell, traffic::ArrivalKind kind, double load_frac,
     const metrics::RunConfig& cfg, std::uint64_t seed, double scale,
     std::size_t jobs, obs::ProgressSink* progress,
-    std::vector<std::shared_ptr<obs::FleetMetricsDoc>>* fleet_docs,
-    std::vector<std::shared_ptr<obs::TaskstatsDoc>>* taskstats_docs) {
+    std::vector<std::shared_ptr<obs::FleetMetricsDoc>>* fleet_docs) {
   const traffic::FleetConfig fc =
       fleet_config(kind, load_frac, cfg, seed, scale, jobs, progress);
   traffic::ConnectionFleet fleet(fc);
@@ -94,10 +93,10 @@ exp::CellRun run_one(
   r.run.exec_time = fc.warmup + fc.window + fc.drain;
   r.run.stats = fr.stats;
   r.run.metrics = fr.metrics;
+  r.run.taskstats = fr.taskstats;
   // Cells write disjoint flat-indexed slots, so the parallel runner needs no
   // lock here and the slot layout is identical for every --jobs value.
   if (fleet_docs != nullptr) (*fleet_docs)[cell.flat] = fr.fleet_metrics;
-  if (taskstats_docs != nullptr) (*taskstats_docs)[cell.flat] = fr.taskstats;
   if (cfg.taskstats) {
     // The fleet-merged blame decomposition, pinned into the cell extras so
     // the blame table is part of the golden-checked document (host-order
@@ -174,13 +173,11 @@ int main(int argc, char** argv) {
   const std::size_t n_cells =
       arrival_labels.size() * cfg_labels.size() * load_labels.size();
   std::vector<std::shared_ptr<obs::FleetMetricsDoc>> fleet_docs(n_cells);
-  std::vector<std::shared_ptr<obs::TaskstatsDoc>> taskstats_docs(n_cells);
   const exp::Outcomes out = runner.run(
       [&](const exp::Cell& cell, const metrics::RunConfig& cfg) {
         return run_one(cell, kArrivals[cell.at(0)], kLoads[cell.at(2)].frac,
                        cfg, cli.seed, cli.scale, cli.jobs, sink.get(),
-                       cli.metrics ? &fleet_docs : nullptr,
-                       cli.taskstats ? &taskstats_docs : nullptr);
+                       cli.metrics ? &fleet_docs : nullptr);
       });
 
   for (std::size_t ai = 0; ai < kArrivals.size(); ++ai) {
@@ -264,18 +261,9 @@ int main(int argc, char** argv) {
   exp::ResultDoc doc(spec.id, cli.scale, cli.seed);
   doc.add_sweep(sweep, out);
   bool ok = bench::write_results(cli, doc);
-  ok = bench::check_sweep_metrics(out, cli) && ok;
+  // The folded state flamegraph (the representative host of the first ran
+  // cell) keeps the bench name as its root frame.
+  ok = bench::check_sweep_metrics(out, cli, "serve_openloop") && ok;
   ok = bench::check_fleet_metrics(fleet_docs, out, cli) && ok;
-  if (!cli.taskstats_path.empty()) {
-    // Folded state flamegraph of the first ran cell's representative host.
-    std::shared_ptr<obs::TaskstatsDoc> rep;
-    for (const auto& o : out) {
-      if (o.ran() && taskstats_docs[o.cell.flat]) {
-        rep = taskstats_docs[o.cell.flat];
-        break;
-      }
-    }
-    ok = bench::export_taskstats_folded(rep, cli, "serve_openloop") && ok;
-  }
   return ok ? 0 : 1;
 }

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
 
 namespace eo::json {
 
@@ -43,6 +44,44 @@ std::string escape(const std::string& s) {
     }
   }
   return out;
+}
+
+bool fail(std::string* err, const std::string& msg) {
+  if (err != nullptr) *err = msg;
+  return false;
+}
+
+bool require_number(const Value& obj, const char* key, std::string* err) {
+  const Value* v = obj.get(key);
+  if (!v || !v->is_number()) {
+    return fail(err, std::string("missing numeric field '") + key + "'");
+  }
+  return true;
+}
+
+bool require_schema(const Value& doc, const char* name, int version,
+                    std::string* err, const std::string& prefix) {
+  const Value* schema = doc.get("schema");
+  if (!schema || !schema->is_string() || schema->str != name) {
+    return fail(err, prefix + "'schema' is not \"" + name + "\"");
+  }
+  const Value* v = doc.get("schema_version");
+  if (!v || !v->is_number() || v->num != version) {
+    return fail(err,
+                prefix + "'schema_version' is not " + std::to_string(version));
+  }
+  return true;
+}
+
+bool write_file(const std::string& path, const std::string& text,
+                TextValidator validate, std::string* err) {
+  if (validate != nullptr && !validate(text, err)) return false;
+  std::ofstream f(path, std::ios::binary | std::ios::trunc);
+  if (!f) return fail(err, "cannot open " + path + " for writing");
+  f << text;
+  f.close();
+  if (!f) return fail(err, "write to " + path + " failed");
+  return true;
 }
 
 // ---------------------------------------------------------------------------

@@ -1,13 +1,15 @@
-// Dependency-free JSON support shared by the exporters and validators.
+// Dependency-free JSON support shared by the document exporters and their
+// validators.
 //
-// Two halves:
 //  * `Value` + `parse` — a full-grammar recursive-descent parser producing a
-//    small DOM. Used by the structural validators (trace export, bench result
-//    documents) so an emitted file is known well-formed before a human or a
-//    plotting script ever opens it.
+//    small DOM, which every structural validator walks, so an emitted file is
+//    known well-formed before a human or a plotting script ever opens it.
+//  * `fail` / `require_number` / `require_schema` — the checks every
+//    validator shares, so all report a missing field or schema alike.
 //  * `Writer` — a streaming serializer with comma/nesting bookkeeping and
 //    deterministic number formatting (shortest round-trip via to_chars), so
-//    identical inputs render byte-identical documents.
+//    identical inputs render byte-identical documents; `write_file` is the
+//    validated file write every exporter ends in.
 #pragma once
 
 #include <cstdint>
@@ -48,6 +50,28 @@ bool parse(const std::string& text, Value* out, std::string* err);
 
 /// Escapes a string for embedding inside a JSON string literal (no quotes).
 std::string escape(const std::string& s);
+
+// Validator helpers. Each fails by setting `*err` (when non-null) and
+// returning false, so a validator can `return fail(err, "...")`.
+[[nodiscard]] bool fail(std::string* err, const std::string& msg);
+/// Fails with "missing numeric field '<key>'" unless `obj[key]` is a number.
+[[nodiscard]] bool require_number(const Value& obj, const char* key,
+                                  std::string* err);
+/// Fails unless `doc` carries `"schema": name` and `"schema_version":
+/// version`; messages start with `prefix` (an embedded section's name).
+[[nodiscard]] bool require_schema(const Value& doc, const char* name,
+                                  int version, std::string* err,
+                                  const std::string& prefix = "");
+
+/// A whole-document check, e.g. `obs::validate_metrics_json`.
+using TextValidator = bool (*)(const std::string& text, std::string* err);
+
+/// The one file write of every exporter: runs `validate` on `text` (when
+/// non-null), then writes `text` to `path`, truncating. Fails with the
+/// validator's reason, "cannot open <path> for writing" or "write to <path>
+/// failed".
+[[nodiscard]] bool write_file(const std::string& path, const std::string& text,
+                              TextValidator validate, std::string* err);
 
 /// Streaming JSON writer. The caller drives the document shape; the writer
 /// inserts commas, quotes keys, escapes strings, and formats numbers

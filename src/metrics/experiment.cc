@@ -25,9 +25,15 @@ RunResult run_experiment(const RunConfig& cfg,
                          const std::function<void(kern::Kernel&)>& setup) {
   kern::Kernel k(make_kernel_config(cfg));
   setup(k);
+  const bool completed = k.run_to_exit(cfg.deadline);
+  return read_out(k, cfg, completed);
+}
+
+RunResult read_out(const kern::Kernel& k, const RunConfig& cfg,
+                   bool completed) {
   RunResult r;
-  r.completed = k.run_to_exit(cfg.deadline);
-  r.exec_time = r.completed ? k.last_exit_time() : k.now();
+  r.completed = completed;
+  r.exec_time = completed ? k.last_exit_time() : k.now();
   r.utilization_percent = k.cpu_utilization_percent();
   r.spin_busy = k.total_spin_busy();
   r.stats = k.stats();

@@ -69,6 +69,15 @@ struct RunResult {
 RunResult run_experiment(const RunConfig& cfg,
                          const std::function<void(kern::Kernel&)>& setup);
 
+/// Reads a finished kernel `k` (built from `cfg`) into a RunResult: the
+/// counters, histograms and BWD verdicts, plus the trace, telemetry and
+/// taskstats snapshots `cfg` enabled. `completed` says whether the workload
+/// exited; exec_time is the last exit then, the kernel clock otherwise.
+/// Benches that drive the kernel manually call this too, so every cell
+/// reports the same fields.
+RunResult read_out(const kern::Kernel& k, const RunConfig& cfg,
+                   bool completed);
+
 /// Builds the KernelConfig for a RunConfig (for benches that need to drive
 /// the kernel manually, e.g. open-loop servers and elasticity sweeps).
 kern::KernelConfig make_kernel_config(const RunConfig& cfg);

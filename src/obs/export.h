@@ -14,6 +14,8 @@
 #pragma once
 
 #include <cstdint>
+#include <initializer_list>
+#include <iosfwd>
 #include <memory>
 #include <string>
 #include <vector>
@@ -81,5 +83,36 @@ bool export_to_file(const MetricsDoc& doc, const std::string& path,
 
 /// Structural validation of an `eo-metrics` JSON document.
 bool validate_metrics_json(const std::string& text, std::string* err);
+
+// --- sections shared with the eo-metrics-fleet document --------------------
+// The fleet document (obs/fleet_agg.h) carries the counters, histograms and
+// watchdog sections in eo-metrics' shape, through these.
+
+void write_counters_json(json::Writer& w,
+                         const std::vector<MetricRegistry::CounterValue>& cs);
+void write_histograms_json(json::Writer& w,
+                           const std::vector<HistogramSummary>& hs);
+void write_watchdog_json(json::Writer& w, std::uint64_t checks,
+                         std::uint64_t violations,
+                         const std::vector<Violation>& records);
+
+/// The verdict line, then one VIOLATION line per record.
+void report_watchdog(std::ostream& os, std::uint64_t checks,
+                     std::uint64_t violations,
+                     const std::vector<Violation>& records);
+/// A blank line, "<title>:", then one line per counter.
+void report_counters(std::ostream& os, const char* title,
+                     const std::vector<MetricRegistry::CounterValue>& cs);
+/// "<title>:" and one line per summary; nothing when `hs` is empty.
+void report_histograms(std::ostream& os, const char* title,
+                       const std::vector<HistogramSummary>& hs);
+
+/// Checks that `root[key]` is an array of objects, each with a non-empty
+/// string "name" and a number under every key in `numbers`.
+bool validate_named_numbers(const json::Value& root, const char* key,
+                            std::initializer_list<const char*> numbers,
+                            std::string* err);
+bool validate_histograms_json(const json::Value& root, std::string* err);
+bool validate_watchdog_json(const json::Value& root, std::string* err);
 
 }  // namespace eo::obs

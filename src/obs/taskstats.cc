@@ -1,11 +1,13 @@
 #include "obs/taskstats.h"
 
-#include <fstream>
 #include <sstream>
 
 #include "common/json.h"
 
 namespace eo::obs {
+
+using json::fail;
+using json::require_number;
 
 const char* to_string(TaskDelayState s) {
   switch (s) {
@@ -42,32 +44,14 @@ void write_taskstats_json(json::Writer& w, const TaskstatsDoc& doc) {
   w.end_object();
 }
 
-namespace {
-
-bool fail(std::string* err, const std::string& msg) {
-  if (err) *err = msg;
-  return false;
-}
-
-}  // namespace
-
 bool validate_taskstats_value(const json::Value& v, std::string* err) {
   if (!v.is_object()) return fail(err, "taskstats is not an object");
-  const json::Value* schema = v.get("schema");
-  if (!schema || !schema->is_string() || schema->str != kTaskstatsSchemaName) {
-    return fail(err, std::string("taskstats 'schema' is not \"") +
-                         kTaskstatsSchemaName + "\"");
+  if (!json::require_schema(v, kTaskstatsSchemaName, kTaskstatsSchemaVersion,
+                            err, "taskstats ")) {
+    return false;
   }
-  const json::Value* version = v.get("schema_version");
-  if (!version || !version->is_number() ||
-      version->num != kTaskstatsSchemaVersion) {
-    return fail(err, "taskstats 'schema_version' is not " +
-                         std::to_string(kTaskstatsSchemaVersion));
-  }
+  if (!require_number(v, "n_tasks", err)) return false;
   const json::Value* n_tasks = v.get("n_tasks");
-  if (!n_tasks || !n_tasks->is_number()) {
-    return fail(err, "taskstats missing numeric 'n_tasks'");
-  }
   const json::Value* tasks = v.get("tasks");
   if (!tasks || !tasks->is_array()) {
     return fail(err, "taskstats missing array 'tasks'");
@@ -77,10 +61,8 @@ bool validate_taskstats_value(const json::Value& v, std::string* err) {
   }
   for (const json::Value& t : tasks->items) {
     if (!t.is_object()) return fail(err, "taskstats task is not an object");
+    if (!require_number(t, "tid", err)) return false;
     const json::Value* tid = t.get("tid");
-    if (!tid || !tid->is_number()) {
-      return fail(err, "taskstats task missing numeric 'tid'");
-    }
     const json::Value* name = t.get("name");
     if (!name || !name->is_string()) {
       return fail(err, "taskstats task missing string 'name'");
@@ -153,22 +135,6 @@ std::string render_folded(const TaskstatsDoc& doc,
     }
   }
   return os.str();
-}
-
-bool export_folded_to_file(const TaskstatsDoc& doc, const std::string& workload,
-                           const std::string& path, std::string* err) {
-  std::ofstream f(path, std::ios::binary | std::ios::trunc);
-  if (!f) {
-    if (err) *err = "cannot open " + path + " for writing";
-    return false;
-  }
-  f << render_folded(doc, workload);
-  f.close();
-  if (!f) {
-    if (err) *err = "write to " + path + " failed";
-    return false;
-  }
-  return true;
 }
 
 }  // namespace eo::obs

@@ -221,8 +221,4 @@ bool validate_taskstats_value(const json::Value& v, std::string* err);
 /// format unambiguous.
 std::string render_folded(const TaskstatsDoc& doc, const std::string& workload);
 
-/// Renders and writes the folded file; false (with `err`) on I/O failure.
-bool export_folded_to_file(const TaskstatsDoc& doc, const std::string& workload,
-                           const std::string& path, std::string* err);
-
 }  // namespace eo::obs

@@ -1,7 +1,6 @@
 #include "trace/export.h"
 
 #include <cstdio>
-#include <fstream>
 #include <map>
 #include <ostream>
 #include <sstream>
@@ -21,8 +20,6 @@ std::string us(SimTime ns) {
                 static_cast<long long>(ns % 1000));
   return buf;
 }
-
-std::string json_escape(const std::string& s) { return json::escape(s); }
 
 }  // namespace
 
@@ -75,7 +72,7 @@ void write_chrome_json(const Trace& t, std::ostream& os) {
     }
     if (kind == EventKind::kSwitchOut && slice_start[l] >= 0) {
       sep();
-      os << "{\"name\":\"" << json_escape(task_label(slice_tid[l]))
+      os << "{\"name\":\"" << json::escape(task_label(slice_tid[l]))
          << "\",\"ph\":\"X\",\"ts\":" << us(slice_start[l])
          << ",\"dur\":" << us(e.ts - slice_start[l]) << ",\"pid\":0,\"tid\":"
          << l + 1 << ",\"args\":{\"vruntime\":" << e.arg0
@@ -96,7 +93,7 @@ void write_chrome_json(const Trace& t, std::ostream& os) {
     os << "{\"name\":\"" << to_string(kind)
        << "\",\"ph\":\"i\",\"s\":\"t\",\"ts\":" << us(e.ts)
        << ",\"pid\":0,\"tid\":" << lane(e) << ",\"args\":{\"task\":\""
-       << json_escape(task_label(e.tid)) << "\",\"arg0\":" << e.arg0
+       << json::escape(task_label(e.tid)) << "\",\"arg0\":" << e.arg0
        << ",\"arg1\":" << e.arg1 << "}}";
   }
   os << "\n],\"otherData\":{\"dropped_events\":\"" << t.dropped << "\"}}\n";
@@ -123,20 +120,9 @@ std::string render(const Trace& t, const std::string& format) {
 
 bool export_to_file(const Trace& t, const std::string& path,
                     const std::string& format, std::string* err) {
-  const std::string text = render(t, format);
-  if (format != "csv" && !validate_chrome_trace_json(text, err)) return false;
-  std::ofstream f(path, std::ios::binary | std::ios::trunc);
-  if (!f) {
-    if (err != nullptr) *err = "cannot open " + path + " for writing";
-    return false;
-  }
-  f << text;
-  f.close();
-  if (!f) {
-    if (err != nullptr) *err = "write to " + path + " failed";
-    return false;
-  }
-  return true;
+  return json::write_file(
+      path, render(t, format),
+      format != "csv" ? validate_chrome_trace_json : nullptr, err);
 }
 
 // The JSON grammar itself is handled by the shared parser in common/json.h;
@@ -144,37 +130,27 @@ bool export_to_file(const Trace& t, const std::string& path,
 bool validate_chrome_trace_json(const std::string& text, std::string* err) {
   json::Value root;
   if (!json::parse(text, &root, err)) return false;
-  if (!root.is_object()) {
-    if (err != nullptr) *err = "root is not an object";
-    return false;
-  }
+  if (!root.is_object()) return json::fail(err, "root is not an object");
   const json::Value* events = root.get("traceEvents");
   if (events == nullptr || !events->is_array()) {
-    if (err != nullptr) *err = "missing traceEvents array";
-    return false;
+    return json::fail(err, "missing traceEvents array");
   }
   for (std::size_t i = 0; i < events->items.size(); ++i) {
     const json::Value& e = events->items[i];
     const std::string at = "traceEvents[" + std::to_string(i) + "]";
-    if (!e.is_object()) {
-      if (err != nullptr) *err = at + " is not an object";
-      return false;
-    }
+    if (!e.is_object()) return json::fail(err, at + " is not an object");
     const json::Value* ph = e.get("ph");
     const json::Value* name = e.get("name");
     if (ph == nullptr || !ph->is_string() || ph->str.empty()) {
-      if (err != nullptr) *err = at + " lacks a string \"ph\"";
-      return false;
+      return json::fail(err, at + " lacks a string \"ph\"");
     }
     if (name == nullptr || !name->is_string()) {
-      if (err != nullptr) *err = at + " lacks a string \"name\"";
-      return false;
+      return json::fail(err, at + " lacks a string \"name\"");
     }
     if (ph->str != "M") {  // metadata events carry no timestamp
       const json::Value* ts = e.get("ts");
       if (ts == nullptr || !ts->is_number() || ts->num < 0) {
-        if (err != nullptr) *err = at + " lacks a non-negative numeric \"ts\"";
-        return false;
+        return json::fail(err, at + " lacks a non-negative numeric \"ts\"");
       }
     }
   }
