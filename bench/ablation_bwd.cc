@@ -210,10 +210,8 @@ int main(int argc, char** argv) {
   doc.add_sweep(sweep_b, out_b);
   doc.add_sweep(sweep_i, out_i);
   bool ok = bench::write_results(cli, doc);
-  if (cli.metrics) {
-    ok = bench::check_sweep_metrics(out_h, cli) &&
-      bench::check_sweep_metrics(out_b, cli) &&
-      bench::check_sweep_metrics(out_i, cli) && ok;
-  }
+  ok = bench::check_sweep_metrics(out_h, cli) &&
+    bench::check_sweep_metrics(out_b, cli) &&
+    bench::check_sweep_metrics(out_i, cli) && ok;
   return ok ? 0 : 1;
 }

@@ -70,8 +70,6 @@ int main(int argc, char** argv) {
   exp::ResultDoc doc(spec.id, cli.scale, cli.seed);
   doc.add_sweep(sweep, out);
   bool ok = bench::write_results(cli, doc);
-  if (cli.metrics) {
-    ok = bench::check_sweep_metrics(out, cli) && ok;
-  }
+  ok = bench::check_sweep_metrics(out, cli) && ok;
   return ok ? 0 : 1;
 }

@@ -124,9 +124,7 @@ int main(int argc, char** argv) {
   doc.add_sweep(sweep_a, out_a);
   doc.add_sweep(sweep_b, out_b);
   bool ok = bench::write_results(cli, doc);
-  if (cli.metrics) {
-    ok = bench::check_sweep_metrics(out_a, cli) &&
-      bench::check_sweep_metrics(out_b, cli) && ok;
-  }
+  ok = bench::check_sweep_metrics(out_a, cli) &&
+    bench::check_sweep_metrics(out_b, cli) && ok;
   return ok ? 0 : 1;
 }

@@ -1,16 +1,22 @@
 #include "common/thread_pool.h"
 
-#include <atomic>
+#include <algorithm>
 
 #include "common/logging.h"
 
 namespace eo {
 
+namespace {
+// 0 means one worker per hardware thread (4 when that is unknown).
+std::size_t resolve_threads(std::size_t n_threads) {
+  if (n_threads != 0) return n_threads;
+  const std::size_t hw = std::thread::hardware_concurrency();
+  return hw != 0 ? hw : 4;
+}
+}  // namespace
+
 ThreadPool::ThreadPool(std::size_t n_threads) {
-  if (n_threads == 0) {
-    n_threads = std::thread::hardware_concurrency();
-    if (n_threads == 0) n_threads = 4;
-  }
+  n_threads = resolve_threads(n_threads);
   workers_.reserve(n_threads);
   for (std::size_t i = 0; i < n_threads; ++i) {
     workers_.emplace_back([this] { worker_loop(); });
@@ -68,7 +74,8 @@ void ThreadPool::parallel_for(std::size_t n,
     fn(0);
     return;
   }
-  ThreadPool pool(n_threads);
+  // More workers than tasks would only sit idle.
+  ThreadPool pool(std::min(resolve_threads(n_threads), n));
   for (std::size_t i = 0; i < n; ++i) {
     pool.submit([&fn, i] { fn(i); });
   }

@@ -37,7 +37,8 @@ class ThreadPool {
 
   std::size_t size() const { return workers_.size(); }
 
-  /// Runs `fn(i)` for i in [0, n) across the pool and waits for completion.
+  /// Runs `fn(i)` for i in [0, n) on a pool of min(n_threads, n) workers
+  /// (n_threads 0 as in the constructor) and waits for completion.
   /// Exceptions escaping a task abort the process (tasks are experiment
   /// bodies; a failed experiment must not be silently dropped).
   static void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn,

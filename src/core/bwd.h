@@ -19,7 +19,6 @@
 #include "core/config.h"
 #include "hw/lbr.h"
 #include "hw/pmc.h"
-#include "obs/metrics.h"
 #include "trace/trace.h"
 
 namespace eo::core {
@@ -72,13 +71,6 @@ class BwdDetector {
   /// kBwdSample record (may be null).
   void set_tracer(trace::Tracer* t) { tracer_ = t; }
 
-  /// Wires the metric counters: windows evaluated and detections fired
-  /// (counter increments stay valid from this const-qualified evaluate).
-  void set_metrics(obs::Counter evaluations, obs::Counter detections) {
-    m_evaluations_ = evaluations;
-    m_detections_ = detections;
-  }
-
   /// Evaluates one window. `truth` is only used for the ground-truth label;
   /// detection consumes nothing but the modeled hardware state. `core` and
   /// `tid` only label the trace record.
@@ -89,8 +81,6 @@ class BwdDetector {
  private:
   const Features* f_;
   trace::Tracer* tracer_ = nullptr;
-  obs::Counter m_evaluations_;
-  obs::Counter m_detections_;
 };
 
 }  // namespace eo::core

@@ -27,11 +27,9 @@ class VbPolicy {
   /// null, and core/tid may be omitted by callers without that context).
   void set_tracer(trace::Tracer* t) { tracer_ = t; }
 
-  /// Wires the metric counters: decisions taken and the VB-chosen subset.
-  void set_metrics(obs::Counter decisions, obs::Counter chose_vb) {
-    m_decisions_ = decisions;
-    m_chose_vb_ = chose_vb;
-  }
+  /// Wires the decisions-taken counter. The VB-chosen subset is counted
+  /// by the kernel, as the parks it performs.
+  void set_metrics(obs::Counter decisions) { m_decisions_ = decisions; }
 
   /// Should a futex_wait that would make the bucket hold `waiters_after`
   /// waiters (including the caller) block virtually?
@@ -56,7 +54,6 @@ class VbPolicy {
       vb = !f_->vb_auto_disable || waiters_after >= online_cores;
     }
     m_decisions_.inc();
-    if (vb) m_chose_vb_.inc();
     EO_TRACE_EVENT(tracer_, core, trace::EventKind::kVbDecision, tid,
                    static_cast<std::uint64_t>(vb),
                    static_cast<std::uint64_t>(waiters_after));
@@ -66,7 +63,6 @@ class VbPolicy {
   const Features* f_;
   trace::Tracer* tracer_ = nullptr;
   obs::Counter m_decisions_;
-  obs::Counter m_chose_vb_;
 };
 
 }  // namespace eo::core

@@ -23,9 +23,4 @@ const EpollInstance& EpollTable::get(int epfd) const {
   return instances_[static_cast<size_t>(epfd)];
 }
 
-bool EpollTable::remove_waiter(EpollInstance& ep, const kern::Task* task) {
-  return ep.waiters.erase_first(
-      [task](const EpollWaiter& w) { return w.task == task; });
-}
-
 }  // namespace eo::epollsim

@@ -24,11 +24,6 @@ struct Task;
 
 namespace eo::epollsim {
 
-struct EpollWaiter {
-  kern::Task* task = nullptr;
-  bool vb = false;
-};
-
 struct EpollInstance {
   int id = -1;
   kern::KLock lock;
@@ -36,11 +31,9 @@ struct EpollInstance {
   /// open-loop serving path posts and consumes millions of events per run,
   /// and deque block churn would put heap traffic on every request.
   FifoRing<std::uint64_t> ready;
-  /// Tasks blocked in epoll_wait (FIFO).
-  FifoRing<EpollWaiter> waiters;
-  /// Diagnostics.
-  std::uint64_t posted = 0;
-  std::uint64_t consumed = 0;
+  /// Tasks blocked in epoll_wait (FIFO); each one's blocking mode is on its
+  /// Task::waiter link.
+  FifoRing<kern::Task*> waiters;
 };
 
 class EpollTable {
@@ -75,9 +68,6 @@ class EpollTable {
                    static_cast<std::uint64_t>(hold));
     return wait;
   }
-
-  /// Removes a specific waiter. Returns true if found.
-  bool remove_waiter(EpollInstance& ep, const kern::Task* task);
 
   std::size_t size() const { return instances_.size(); }
 

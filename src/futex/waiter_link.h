@@ -1,16 +1,18 @@
 // Intrusive futex waiter links.
 //
-// A blocked task sits on exactly one wait queue at a time (futex bucket,
-// epoll instance, or an in-flight wake chain), so each Task embeds a single
-// WaiterLink and queue membership is a pointer splice: no node allocation,
-// no deque block churn, O(1) enqueue/dequeue/erase. This is the classic
-// kernel `futex_q`/`wait_queue_entry` layout and what drives the futex
-// round trip and context-switch micros to their ns/item floor.
+// A blocked task sits on exactly one wait queue at a time (futex bucket or
+// an in-flight wake chain; an epoll instance queues the Task itself), so
+// each Task embeds a single WaiterLink and queue membership is a pointer
+// splice: no node allocation, no deque block churn, O(1) enqueue/dequeue/
+// erase. This is the classic kernel `futex_q`/`wait_queue_entry` layout and
+// what drives the futex round trip and context-switch micros to their
+// ns/item floor.
 //
 // The link carries the owning task pointer and the vb flag explicitly
 // (rather than recovering the Task via offsetof) so a WaiterList can be
 // walked without knowing the embedding offset, and so the vb decision made
-// at wait time travels with the waiter into the wake chain.
+// at wait time (futex or epoll) travels with the waiter into the wake chain.
+// It is the task's only record of that decision.
 #pragma once
 
 #include <cstddef>

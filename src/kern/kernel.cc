@@ -153,10 +153,7 @@ void Kernel::set_online_cores(int n) {
                         [this, &c] { bwd_timer_fire(c); });
     }
   }
-  n_online_ = 0;
-  for (int i = 0; i < n_cores(); ++i) {
-    if (i < n) ++n_online_;
-  }
+  n_online_ = n;
   for (int i = n; i < n_cores(); ++i) {
     Core& c = core(i);
     if (!c.online) continue;
@@ -197,27 +194,11 @@ void Kernel::set_online_cores(int n) {
       }
       rr = (dst + 1) % std::max(1, n_online_);
       EO_CHECK_GE(dst, 0);
-      Core& d = core(dst);
-      const bool cross = !cfg_.topo.same_socket(c.id, d.id);
-      (cross ? stats_.migrations_cross_node : stats_.migrations_in_node)++;
-      t->resume_penalty = std::max(
-          t->resume_penalty,
-          cache_.migration_penalty(t->mem.working_set, cross) +
-              cfg_.costs.migration_base);
       if (t->pinned && t->pin_cpu == c.id) pinned_violation_ = true;
-      t->last_cpu = dst;
-      EO_TRACE_EVENT(&tracer_, dst, trace::EventKind::kMigration, t->tid,
-                     static_cast<std::uint64_t>(c.id),
-                     static_cast<std::uint64_t>(dst));
+      migrate(t, c.id, dst);
       // Rehome at the destination's fairness floor, like a fresh arrival.
       policy_->place_fresh(dst, se);
-      // Post-migration queue wait is attributed to kMigrating until the
-      // task first runs at the destination; VB-parked evictees keep their
-      // park attribution (they are not waiting for the CPU).
-      if (!se->vb_blocked) {
-        t->delay.transition(now(), obs::TaskDelayState::kMigrating);
-      }
-      kick(d);
+      kick(core(dst));
     }
   }
 }
@@ -227,14 +208,9 @@ void Kernel::set_online_cores(int n) {
 // ---------------------------------------------------------------------------
 
 double Kernel::cpu_utilization_percent() const {
-  const SimDuration wall = now() - metrics_reset_time_;
-  if (wall <= 0) return 0.0;
-  double busy = 0;
-  for (const auto& cp : cores_) {
-    busy += static_cast<double>(cp->metrics.busy);
-    if (cp->busy_valid) busy += static_cast<double>(now() - cp->busy_since);
-  }
-  return busy / static_cast<double>(wall) * 100.0;
+  if (now() <= 0) return 0.0;
+  return static_cast<double>(total_busy()) / static_cast<double>(now()) *
+         100.0;
 }
 
 SimDuration Kernel::total_busy() const {
@@ -250,17 +226,6 @@ SimDuration Kernel::total_spin_busy() const {
   SimDuration b = 0;
   for (const auto& cp : cores_) b += cp->metrics.spin_busy;
   return b;
-}
-
-void Kernel::reset_metrics() {
-  for (auto& cp : cores_) {
-    cp->metrics = CoreMetrics{};
-    if (cp->busy_valid) cp->busy_since = now();
-  }
-  stats_ = sched::SchedStats{};
-  bwd_accuracy_ = core::BwdAccuracy{};
-  wakeup_latency_.clear();
-  metrics_reset_time_ = now();
 }
 
 trace::Trace Kernel::snapshot_trace() const {
@@ -295,10 +260,12 @@ void Kernel::register_metrics() {
                      r.counter("futex.bucket_locks_contended"));
   epolls_.set_metrics(r.counter("epoll.instance_locks"),
                       r.counter("epoll.instance_locks_contended"));
-  vb_policy_.set_metrics(r.counter("vb.decisions"),
-                         r.counter("vb.chose_vb"));
-  bwd_.set_metrics(r.counter("bwd.windows_evaluated"),
-                   r.counter("bwd.windows_detected"));
+  // Aliases of SchedStats cells (the kernel parks on every VB choice and
+  // fires the BWD timer for every evaluated window), in their export order.
+  r.register_counter("vb.chose_vb", &stats_.vb_parks);
+  vb_policy_.set_metrics(r.counter("vb.decisions"));
+  r.register_counter("bwd.windows_detected", &stats_.bwd_detections);
+  r.register_counter("bwd.windows_evaluated", &stats_.bwd_timer_fires);
   r.register_counter("bwd.truth_windows", &bwd_accuracy_.windows);
   r.register_counter("bwd.truth_tp", &bwd_accuracy_.tp);
   r.register_counter("bwd.truth_fp", &bwd_accuracy_.fp);
@@ -465,6 +432,17 @@ SimDuration Kernel::slice_left(Core& c, Task* t) const {
   return slice - (now() - t->se.exec_start);
 }
 
+SimDuration Kernel::slice_or_preempt(Core& c, Task* t) {
+  const SimDuration sl = slice_left(c, t);
+  if (sl > 0) return sl;
+  if (policy_->nr_schedulable(c.id) > 0) {
+    do_preempt(c);
+    return 0;
+  }
+  account_tick(c);  // renew the slice in place
+  return policy_->slice_for(c.id, &t->se);
+}
+
 void Kernel::kick(Core& c) {
   if (!c.online || c.kick_pending || c.current != nullptr || c.in_switch) {
     return;
@@ -480,10 +458,6 @@ void Kernel::schedule(Core& c) {
   EO_CHECK(c.current == nullptr);
   EO_CHECK(!c.in_switch);
   if (!c.online) return;
-  if (c.preempt_event != sim::kInvalidEvent) {
-    engine_.cancel(c.preempt_event);
-    c.preempt_event = sim::kInvalidEvent;
-  }
   c.need_resched = false;
 
   sched::SchedEntity* se = policy_->pick_next(c.id);
@@ -553,8 +527,7 @@ void Kernel::begin_current(Core& c) {
   if (c.need_resched && policy_->nr_schedulable(c.id) > 0 &&
       !t->se.vb_blocked) {
     // A better candidate woke during the switch; go around again.
-    deschedule_current(c, /*requeue=*/true, /*voluntary=*/false);
-    schedule(c);
+    do_preempt(c);
     return;
   }
   c.need_resched = false;
@@ -604,7 +577,7 @@ void Kernel::resume_step(Core& c, Task* t) {
     g_current_task = nullptr;
 
     if (auto* a = std::get_if<AtomicAction>(&t->pending)) {
-      perform_atomic(c, t, *a);
+      perform_atomic(t, *a);
       t->pending = std::monostate{};
       continue;
     }
@@ -690,16 +663,8 @@ void Kernel::setup_compute(Core& c, Task* t, ComputeAction& a) {
     a.remaining_wall += t->resume_penalty;
     t->resume_penalty = 0;
   }
-  SimDuration sl = slice_left(c, t);
-  if (sl <= 0) {
-    if (policy_->nr_schedulable(c.id) > 0) {
-      deschedule_current(c, /*requeue=*/true, /*voluntary=*/false);
-      schedule(c);
-      return;
-    }
-    account_tick(c);  // renew the slice in place
-    sl = policy_->slice_for(c.id, &t->se);
-  }
+  const SimDuration sl = slice_or_preempt(c, t);
+  if (sl <= 0) return;
   const double speed = execution_speed(c);
   const auto need = static_cast<SimDuration>(
       std::ceil(static_cast<double>(a.remaining_wall) / speed));
@@ -728,8 +693,7 @@ void Kernel::compute_event(Core& c) {
   }
   // Slice expired mid-compute.
   if (policy_->nr_schedulable(c.id) > 0) {
-    deschedule_current(c, /*requeue=*/true, /*voluntary=*/false);
-    schedule(c);
+    do_preempt(c);
   } else {
     setup_compute(c, t, *a);
   }
@@ -746,16 +710,8 @@ void Kernel::setup_spin(Core& c, Task* t, SpinUntilAction& a) {
     resume_step(c, t);
     return;
   }
-  SimDuration sl = slice_left(c, t);
-  if (sl <= 0) {
-    if (policy_->nr_schedulable(c.id) > 0) {
-      deschedule_current(c, /*requeue=*/true, /*voluntary=*/false);
-      schedule(c);
-      return;
-    }
-    account_tick(c);
-    sl = policy_->slice_for(c.id, &t->se);
-  }
+  SimDuration sl = slice_or_preempt(c, t);
+  if (sl <= 0) return;
   if (a.deadline >= 0) sl = std::min(sl, a.deadline - now());
   set_segment(c, hw::SegmentKind::kSpin, a.site, a.uses_pause);
   a.exit_scheduled = false;
@@ -789,8 +745,7 @@ void Kernel::spin_slice_event(Core& c) {
     return;
   }
   if (policy_->nr_schedulable(c.id) > 0) {
-    deschedule_current(c, /*requeue=*/true, /*voluntary=*/false);
-    schedule(c);
+    do_preempt(c);
   } else {
     // Alone on the queue: keep spinning with a renewed slice.
     account_tick(c);
@@ -886,10 +841,6 @@ void Kernel::deschedule_current(Core& c, bool requeue, bool voluntary) {
     policy_->dequeue(c.id, &t->se);
   }
   c.current = nullptr;
-  if (c.preempt_event != sim::kInvalidEvent) {
-    engine_.cancel(c.preempt_event);
-    c.preempt_event = sim::kInvalidEvent;
-  }
   c.need_resched = false;
 }
 
@@ -901,11 +852,10 @@ void Kernel::setup_vb_check(Core& c, Task* t) {
   const SimDuration q = cfg_.costs.vb_check_quantum;
   c.run_start = now();
   c.run_speed = 1.0;
-  c.run_event = engine_.schedule_after(q, [this, &c, q] {
+  c.run_event = engine_.schedule_after(q, [this, &c] {
     c.run_event = sim::kInvalidEvent;
     Task* cur = c.current;
     EO_CHECK(cur != nullptr);
-    c.metrics.vb_check += q;
     if (!cur->se.vb_blocked) {
       // The flag was cleared mid-quantum: resume for real.
       account_tick(c);
@@ -947,8 +897,7 @@ void Kernel::do_preempt(Core& c) {
 // Atomic operations
 // ---------------------------------------------------------------------------
 
-void Kernel::perform_atomic(Core& c, Task* t, const AtomicAction& a) {
-  (void)c;
+void Kernel::perform_atomic(Task* t, const AtomicAction& a) {
   EO_CHECK(a.word != nullptr);
   t->overhead += cfg_.costs.atomic_op;
   auto& v = a.word->value_;
@@ -1010,12 +959,18 @@ bool Kernel::handle_futex_wait(Core& c, Task* t, const FutexWaitAction& a) {
   }
   const bool vb = vb_policy_.use_vb_futex(same_word + 1, n_online_, c.id,
                                           t->tid);
-  t->waiter.vb = vb;
   b.waiters.push_back(&t->waiter);
   t->wait_word = a.word;
-  t->vb_waiting = vb;
   EO_TRACE_EVENT(&tracer_, c.id, trace::EventKind::kFutexWait, t->tid,
                  a.word->id_, vb ? 1u : 0u);
+  if (!vb && cfg_.features.vb_futex) ++stats_.vb_fallback_vanilla;
+  block_current(c, t, vb, cost, obs::TaskDelayState::kFutexBlocked);
+  return false;
+}
+
+void Kernel::block_current(Core& c, Task* t, bool vb, SimDuration cost,
+                           obs::TaskDelayState blocked) {
+  t->waiter.vb = vb;
   if (vb) {
     ++stats_.vb_parks;
     t->overhead += cost + cfg_.costs.vb_park;
@@ -1024,13 +979,11 @@ bool Kernel::handle_futex_wait(Core& c, Task* t, const FutexWaitAction& a) {
     t->delay.transition(now(), obs::TaskDelayState::kVbParked);
   } else {
     ++stats_.futex_sleeps;
-    if (!vb && cfg_.features.vb_futex) ++stats_.vb_fallback_vanilla;
     t->overhead += cost + cfg_.costs.futex_wait_setup;
     deschedule_current(c, /*requeue=*/false, /*voluntary=*/true);
-    t->delay.transition(now(), obs::TaskDelayState::kFutexBlocked);
+    t->delay.transition(now(), blocked);
   }
   schedule(c);
-  return false;
 }
 
 bool Kernel::handle_futex_wake(Core& c, Task* t, const FutexWakeAction& a) {
@@ -1105,11 +1058,9 @@ void Kernel::wake_chain_step(WakeChain* chain) {
   if (!chain->waiters.empty()) {
     // Pop before waking: once woken the task may block again and reuse its
     // embedded link, so it must already be off the chain.
-    futex::WaiterLink* w = chain->waiters.pop_front();
-    Task* task = w->task;
-    const bool vb = w->vb;
+    Task* task = chain->waiters.pop_front()->task;
     if (!chain->delivered) finish_action(task, 0);
-    const SimDuration cost = vb ? wake_task_vb(task) : wake_task_vanilla(task);
+    const SimDuration cost = wake_waiter(task);
     ++chain->result;
     engine_.schedule_after(cost, [this, chain] { wake_chain_step(chain); });
     return;
@@ -1132,8 +1083,7 @@ void Kernel::wake_chain_step(WakeChain* chain) {
   Core& c = core(w->se.cpu);
   EO_CHECK_EQ(c.current, w);
   if (c.need_resched && policy_->nr_schedulable(c.id) > 0) {
-    deschedule_current(c, /*requeue=*/true, /*voluntary=*/false);
-    schedule(c);
+    do_preempt(c);
     return;
   }
   c.need_resched = false;
@@ -1171,31 +1121,21 @@ SimDuration Kernel::wake_task_vanilla(Task* t) {
   EO_CHECK(t->blocked());
   ++stats_.wakeups;
   t->wait_word = nullptr;
-  t->wait_epfd = -1;
   SimDuration cost =
       cfg_.costs.ttwu_base + n_online_ * cfg_.costs.ttwu_scan_per_core;
   const int cpu = select_wake_cpu(t);
   Core& tc = core(cpu);
   cost += tc.rq_lock.acquire(now(), cfg_.costs.rq_lock_hold) +
           cfg_.costs.rq_lock_hold;
-  const bool wake_migrated = t->last_cpu >= 0 && cpu != t->last_cpu;
-  if (wake_migrated) {
+  // A cross-CPU wakeup placement charges the post-wake queue wait to
+  // kMigrating (the cache-cold dispatch delay); a same-CPU wake to kRunnable.
+  if (t->last_cpu >= 0 && cpu != t->last_cpu) {
     ++stats_.wakeup_migrations;
-    const bool cross = !cfg_.topo.same_socket(cpu, t->last_cpu);
-    (cross ? stats_.migrations_cross_node : stats_.migrations_in_node)++;
-    t->resume_penalty = std::max(
-        t->resume_penalty, cache_.migration_penalty(t->mem.working_set,
-                                                    cross) +
-                               cfg_.costs.migration_base);
-    EO_TRACE_EVENT(&tracer_, cpu, trace::EventKind::kMigration, t->tid,
-                   static_cast<std::uint64_t>(t->last_cpu),
-                   static_cast<std::uint64_t>(cpu));
+    migrate(t, t->last_cpu, cpu);
+  } else {
+    t->delay.transition(now(), obs::TaskDelayState::kRunnable);
+    t->last_cpu = cpu;
   }
-  // Cross-CPU wakeup placements charge the post-wake queue wait to
-  // kMigrating (the cache-cold dispatch delay); same-CPU wakes to kRunnable.
-  t->delay.transition(now(), wake_migrated ? obs::TaskDelayState::kMigrating
-                                           : obs::TaskDelayState::kRunnable);
-  t->last_cpu = cpu;
   t->runnable_since = now();
   EO_TRACE_EVENT(&tracer_, cpu, trace::EventKind::kWakeup, t->tid,
                  static_cast<std::uint64_t>(cpu), 0);
@@ -1205,12 +1145,9 @@ SimDuration Kernel::wake_task_vanilla(Task* t) {
 }
 
 SimDuration Kernel::wake_task_vb(Task* t) {
-  EO_CHECK(t->vb_waiting);
   ++stats_.vb_unparks;
   ++stats_.wakeups;
   t->wait_word = nullptr;
-  t->wait_epfd = -1;
-  t->vb_waiting = false;
   EO_CHECK_GE(t->se.cpu, 0);
   Core& tc = core(t->se.cpu);
   t->runnable_since = now();
@@ -1229,6 +1166,10 @@ SimDuration Kernel::wake_task_vb(Task* t) {
   return cfg_.costs.vb_unpark;
 }
 
+SimDuration Kernel::wake_waiter(Task* t) {
+  return t->waiter.vb ? wake_task_vb(t) : wake_task_vanilla(t);
+}
+
 // ---------------------------------------------------------------------------
 // Epoll
 // ---------------------------------------------------------------------------
@@ -1242,31 +1183,16 @@ bool Kernel::handle_epoll_wait(Core& c, Task* t, const EpollWaitAction& a) {
   if (!ep.ready.empty()) {
     const std::uint64_t data = ep.ready.front();
     ep.ready.pop_front();
-    ++ep.consumed;
     t->overhead += cost;
     finish_action(t, data);
     return true;
   }
   const bool vb = vb_policy_.use_vb_epoll(
       static_cast<int>(ep.waiters.size()) + 1, n_online_, c.id, t->tid);
-  ep.waiters.push_back(epollsim::EpollWaiter{t, vb});
-  t->wait_epfd = a.epfd;
-  t->vb_waiting = vb;
+  ep.waiters.push_back(t);
   EO_TRACE_EVENT(&tracer_, c.id, trace::EventKind::kEpollWait, t->tid,
                  static_cast<std::uint64_t>(a.epfd), vb ? 1u : 0u);
-  if (vb) {
-    ++stats_.vb_parks;
-    t->overhead += cost + cfg_.costs.vb_park;
-    deschedule_current(c, /*requeue=*/true, /*voluntary=*/true);
-    policy_->vb_park(c.id, &t->se);
-    t->delay.transition(now(), obs::TaskDelayState::kVbParked);
-  } else {
-    ++stats_.futex_sleeps;
-    t->overhead += cost + cfg_.costs.futex_wait_setup;
-    deschedule_current(c, /*requeue=*/false, /*voluntary=*/true);
-    t->delay.transition(now(), obs::TaskDelayState::kEpollBlocked);
-  }
-  schedule(c);
+  block_current(c, t, vb, cost, obs::TaskDelayState::kEpollBlocked);
   return false;
 }
 
@@ -1276,7 +1202,6 @@ bool Kernel::handle_epoll_post(Core& c, Task* t, const EpollPostAction& a) {
   cost += epolls_.lock_instance(ep, now(), cfg_.costs.bucket_lock_hold, c.id,
                                 t->tid) +
           cfg_.costs.bucket_lock_hold;
-  ++ep.posted;
   EO_TRACE_EVENT(&tracer_, c.id, trace::EventKind::kEpollPost, t->tid,
                  static_cast<std::uint64_t>(a.epfd),
                  ep.waiters.empty() ? 0u : 1u);
@@ -1286,22 +1211,19 @@ bool Kernel::handle_epoll_post(Core& c, Task* t, const EpollPostAction& a) {
     finish_action(t, 0);
     return true;
   }
-  const auto w = ep.waiters.front();
+  Task* w = ep.waiters.front();
   ep.waiters.pop_front();
-  ++ep.consumed;
-  finish_action(w.task, a.data);
+  finish_action(w, a.data);
   // Deliver via the same serialized wake machinery, but the result is
   // already set on the waiter; the chain only performs the wakeups.
   WakeChain* chain = alloc_chain();
-  w.task->waiter.vb = w.vb;
-  chain->waiters.push_back(&w.task->waiter);
+  chain->waiters.push_back(&w->waiter);
   start_wake_chain(c, t, chain, cost, /*delivered=*/true);
   return false;
 }
 
 void Kernel::epoll_post_external(int epfd, std::uint64_t data) {
   auto& ep = epolls_.get(epfd);
-  ++ep.posted;
   EO_TRACE_EVENT(&tracer_, -1, trace::EventKind::kEpollPost, 0,
                  static_cast<std::uint64_t>(epfd),
                  ep.waiters.empty() ? 0u : 1u);
@@ -1309,16 +1231,11 @@ void Kernel::epoll_post_external(int epfd, std::uint64_t data) {
     ep.ready.push_back(data);
     return;
   }
-  const auto w = ep.waiters.front();
+  Task* w = ep.waiters.front();
   ep.waiters.pop_front();
-  ++ep.consumed;
-  finish_action(w.task, data);
+  finish_action(w, data);
   // Interrupt-context wakeup: the cost is paid by the "IRQ", not a task.
-  if (w.vb) {
-    wake_task_vb(w.task);
-  } else {
-    wake_task_vanilla(w.task);
-  }
+  wake_waiter(w);
 }
 
 // ---------------------------------------------------------------------------
@@ -1409,24 +1326,27 @@ void Kernel::apply_migration(const sched::BalanceDecision& d) {
   Core& dst = core(d.dst_cpu);
   Task* t = task_of(d.victim);
   policy_->dequeue(d.src_cpu, d.victim);
-  (d.cross_socket ? stats_.migrations_cross_node
-                  : stats_.migrations_in_node)++;
-  t->resume_penalty = std::max(
-      t->resume_penalty,
-      cache_.migration_penalty(t->mem.working_set, d.cross_socket) +
-          cfg_.costs.migration_base);
-  t->last_cpu = d.dst_cpu;
-  EO_TRACE_EVENT(&tracer_, d.dst_cpu, trace::EventKind::kMigration, t->tid,
-                 static_cast<std::uint64_t>(d.src_cpu),
-                 static_cast<std::uint64_t>(d.dst_cpu));
+  migrate(t, d.src_cpu, d.dst_cpu);
   // Translate the victim into the destination queue's fairness window.
   policy_->place_migrated(d.src_cpu, d.dst_cpu, d.victim);
-  // Queue wait at the destination until first dispatch is kMigrating;
-  // VB-parked victims keep their park attribution.
+  kick(dst);
+}
+
+void Kernel::migrate(Task* t, int src, int dst) {
+  const bool cross = !cfg_.topo.same_socket(src, dst);
+  (cross ? stats_.migrations_cross_node : stats_.migrations_in_node)++;
+  t->resume_penalty = std::max(
+      t->resume_penalty, cache_.migration_penalty(t->mem.working_set, cross) +
+                             cfg_.costs.migration_base);
+  t->last_cpu = dst;
+  EO_TRACE_EVENT(&tracer_, dst, trace::EventKind::kMigration, t->tid,
+                 static_cast<std::uint64_t>(src),
+                 static_cast<std::uint64_t>(dst));
+  // Queue wait at the destination until first dispatch is kMigrating. A
+  // VB-parked task keeps its park attribution: it is not waiting for the CPU.
   if (!t->se.vb_blocked) {
     t->delay.transition(now(), obs::TaskDelayState::kMigrating);
   }
-  kick(dst);
 }
 
 }  // namespace eo::kern

@@ -79,7 +79,6 @@ struct KernelConfig {
 struct CoreMetrics {
   SimDuration busy = 0;        ///< any execution (incl. kernel wake chains)
   SimDuration spin_busy = 0;   ///< busy time spent in spin segments
-  SimDuration vb_check = 0;    ///< busy time spent in VB flag-check quanta
 };
 
 class Kernel {
@@ -164,16 +163,11 @@ class Kernel {
   const core::BwdAccuracy& bwd_accuracy() const { return bwd_accuracy_; }
   /// Unblock -> first-run latency of every wakeup (vanilla and VB).
   const Histogram& wakeup_latency() const { return wakeup_latency_; }
-  const CoreMetrics& core_metrics(int cpu) const {
-    return cores_[static_cast<size_t>(cpu)]->metrics;
-  }
-  /// Aggregate utilization of online cores since the last reset, as a
-  /// percentage where each core contributes up to 100 (Table 1 style).
+  /// Aggregate utilization since time 0, as a percentage where each core
+  /// contributes up to 100 (Table 1 style): total_busy() over now().
   double cpu_utilization_percent() const;
   SimDuration total_busy() const;
   SimDuration total_spin_busy() const;
-  /// Clears utilization/stat counters (not task state); call after warmup.
-  void reset_metrics();
 
   const std::vector<std::unique_ptr<Task>>& tasks() const { return tasks_; }
 
@@ -188,8 +182,6 @@ class Kernel {
 
     /// Pending completion/quantum event for the running task.
     sim::EventId run_event = sim::kInvalidEvent;
-    /// Deferred wakeup-preemption event (min_granularity enforcement).
-    sim::EventId preempt_event = sim::kInvalidEvent;
     /// A kick (idle wake) is already scheduled.
     bool kick_pending = false;
     /// Wakeup preemption requested while current is non-preemptible.
@@ -271,17 +263,31 @@ class Kernel {
                    bool pause);
   void kick(Core& c);
   void maybe_preempt(Core& c, const sched::SchedEntity* wakee);
+  /// Involuntary switch: requeues the current task and picks the next.
   void do_preempt(Core& c);
   bool smt_sibling_busy(const Core& c) const;
   double execution_speed(const Core& c) const;
   SimDuration slice_left(Core& c, Task* t) const;
+  /// The current task's remaining slice. An expired slice is renewed in
+  /// place when nothing else can run; otherwise the task is preempted and
+  /// 0 is returned (the core has moved on).
+  SimDuration slice_or_preempt(Core& c, Task* t);
+  /// Moves a task's books to `dst`: counts the in-node or cross-node move,
+  /// charges the cache refill, sets last_cpu, traces kMigration and, unless
+  /// the task is VB-parked, enters kMigrating. Callers requeue the entity.
+  void migrate(Task* t, int src, int dst);
 
   // --- action handlers ---
-  void perform_atomic(Core& c, Task* t, const AtomicAction& a);
+  void perform_atomic(Task* t, const AtomicAction& a);
   bool handle_futex_wait(Core& c, Task* t, const FutexWaitAction& a);
   bool handle_futex_wake(Core& c, Task* t, const FutexWakeAction& a);
   bool handle_epoll_wait(Core& c, Task* t, const EpollWaitAction& a);
   bool handle_epoll_post(Core& c, Task* t, const EpollPostAction& a);
+  /// The tail of every blocking wait, already queued as a waiter: VB-park
+  /// on the runqueue when `vb`, else sleep off it in state `blocked`;
+  /// charges `cost` plus the park or sleep setup and picks the next task.
+  void block_current(Core& c, Task* t, bool vb, SimDuration cost,
+                     obs::TaskDelayState blocked);
   void handle_sleep(Core& c, Task* t, const SleepAction& a);
   void handle_exit(Core& c, Task* t);
 
@@ -298,9 +304,11 @@ class Kernel {
   SimDuration wake_task_vanilla(Task* t);
   /// VB wakeup: clear the flag, restore vruntime. Returns waker-side cost.
   SimDuration wake_task_vb(Task* t);
+  /// Wakes a task taken off a wait queue in the mode it blocked in
+  /// (Task::waiter.vb). Returns the waker-side cost.
+  SimDuration wake_waiter(Task* t);
   int select_wake_cpu(Task* t);
   void notify_spinners(SimWord* word);
-  void spinner_exit(Core& c, Task* t);
 
   // --- live telemetry ---
   void register_metrics();
@@ -345,7 +353,6 @@ class Kernel {
   obs::InvariantWatchdog watchdog_;
   obs::Sampler sampler_;
   Histogram wakeup_latency_;
-  SimTime metrics_reset_time_ = 0;
   SimTime last_exit_time_ = 0;
   bool pinned_violation_ = false;
   Rng rng_;

@@ -9,8 +9,6 @@
 // wakers hammer one runqueue) without simulating the lock-word cacheline.
 #pragma once
 
-#include <cstdint>
-
 #include "common/units.h"
 
 namespace eo::kern {
@@ -23,24 +21,14 @@ class KLock {
     const SimTime start = now > next_free_ ? now : next_free_;
     const SimDuration wait = start - now;
     next_free_ = start + hold;
-    ++acquisitions_;
-    total_wait_ += wait;
-    total_hold_ += hold;
     return wait;
   }
 
   /// True if an acquire at `now` would not wait.
   bool free_at(SimTime now) const { return next_free_ <= now; }
 
-  std::uint64_t acquisitions() const { return acquisitions_; }
-  SimDuration total_wait() const { return total_wait_; }
-  SimDuration total_hold() const { return total_hold_; }
-
  private:
   SimTime next_free_ = 0;
-  std::uint64_t acquisitions_ = 0;
-  SimDuration total_wait_ = 0;
-  SimDuration total_hold_ = 0;
 };
 
 }  // namespace eo::kern

@@ -63,16 +63,14 @@ struct Task {
   /// task's behalf (non-preemptible, as kernel code is).
   bool in_kernel = false;
 
-  /// Intrusive wait-queue membership: spliced into a futex bucket, an epoll
-  /// wake chain, or an in-flight WakeChain (at most one at a time). The
-  /// link's vb flag is the blocking mode chosen at wait time.
+  /// Intrusive wait-queue membership: spliced into a futex bucket or an
+  /// in-flight WakeChain (at most one at a time). The link's vb flag is the
+  /// blocking mode chosen at the last futex or epoll wait: virtual blocking
+  /// (still on the runqueue) vs vanilla sleep.
   futex::WaiterLink waiter;
 
-  /// Block bookkeeping: the futex word or epoll fd the task waits on.
+  /// The futex word the task waits on.
   SimWord* wait_word = nullptr;
-  int wait_epfd = -1;
-  /// Blocked via virtual blocking (still on the runqueue) vs vanilla sleep.
-  bool vb_waiting = false;
   /// Time the task last became runnable after an unblock; -1 when it has
   /// already run since. Feeds the wakeup-latency histogram and trace.
   SimTime runnable_since = -1;

@@ -84,8 +84,7 @@ int InvariantWatchdog::check(SimTime ts, const CoreSample* cores, int n_cores,
                std::to_string(g.tasks_sleeping));
   }
   // Per-task delay accounting must conserve time: for every task, the state
-  // times sum exactly to the kernel-ground-truth lifetime, and the current
-  // delay state must be one the kernel task state permits. The kernel counts
+  // times sum exactly to the kernel-ground-truth lifetime. The kernel counts
   // offenders while collecting the frame; any nonzero count is a violation.
   if (g.taskstats_bad != 0) {
     record(ts, "taskstats_conserved",

@@ -31,18 +31,23 @@ namespace eo::sched {
   /* Wakeups. */                 \
   X(wakeups)                     \
   X(wakeup_migrations)           \
-  /* Load-balancer migrations, split by socket relationship (Table 1). */ \
+  /* Migrations from balance pulls, wake placement and core-offline */ \
+  /* eviction, split by socket relationship (Table 1). */ \
   X(migrations_in_node)          \
   X(migrations_cross_node)       \
-  /* Virtual blocking. */        \
+  /* Virtual blocking. vb_parks is also exported as vb.chose_vb. */ \
   X(vb_parks)                    \
   X(vb_unparks)                  \
   X(vb_check_quanta)             \
+  /* Futex waits that slept although VB for futex was on (epoll waits are */ \
+  /* not counted here). */      \
   X(vb_fallback_vanilla)         \
-  /* Vanilla sleep/wakeup. */    \
+  /* Vanilla sleep/wakeup. futex_sleeps counts every vanilla futex and */ \
+  /* epoll sleep: both take the same blocking path. */ \
   X(futex_sleeps)                \
   X(futex_wakes)                 \
-  /* Busy-waiting detection. */  \
+  /* Busy-waiting detection. bwd_timer_fires and bwd_detections are */ \
+  /* also exported as bwd.windows_evaluated and bwd.windows_detected. */ \
   X(bwd_timer_fires)             \
   X(bwd_detections)              \
   X(bwd_descheduled)             \

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <fstream>
+#include <string>
 #include <vector>
 
 namespace eo {
@@ -48,6 +50,33 @@ TEST(ThreadPool, ParallelForZeroAndOne) {
   EXPECT_EQ(calls, 0);
   ThreadPool::parallel_for(1, [&](std::size_t) { ++calls; });
   EXPECT_EQ(calls, 1);
+}
+
+// OS threads in this process, from the Threads: line of /proc/self/status.
+int os_threads() {
+  std::ifstream in("/proc/self/status");
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind("Threads:", 0) == 0) return std::stoi(line.substr(8));
+  }
+  return -1;
+}
+
+TEST(ThreadPool, ParallelForStartsNoMoreWorkersThanTasks) {
+  const int baseline = os_threads();
+  ASSERT_GT(baseline, 0);
+  std::atomic<int> peak{0};
+  ThreadPool::parallel_for(
+      3,
+      [&](std::size_t) {
+        const int n = os_threads();
+        int p = peak.load();
+        while (n > p && !peak.compare_exchange_weak(p, n)) {
+        }
+      },
+      16);
+  EXPECT_GT(peak.load(), 0);
+  EXPECT_LE(peak.load(), baseline + 3);
 }
 
 TEST(ThreadPool, TasksRunConcurrently) {

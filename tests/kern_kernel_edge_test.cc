@@ -251,5 +251,115 @@ TEST(KernelEdge, TaskPredicatesFollowTheDelayRecord) {
   EXPECT_EQ(waiter->delay.state(), obs::TaskDelayState::kOncpu);
 }
 
+// Advances the kernel one nanosecond at a time until `done` holds (false if
+// `limit` passes first), so state one event sets can be read before the next
+// event changes it.
+template <typename Pred>
+bool step_until(Kernel& k, SimTime limit, Pred done) {
+  while (!done()) {
+    if (k.now() >= limit) return false;
+    k.run_until(k.now() + 1);
+  }
+  return true;
+}
+
+// All three migration sources (a balance pull, a wakeup placed on another
+// core, eviction by set_online_cores) keep the same books: the move counts
+// once, as in-node or cross-node; last_cpu is the destination; and the task
+// waits in kMigrating until it first runs there, unless it is a VB-parked
+// evictee, which keeps kVbParked.
+TEST(KernelEdge, MigrationSourcesShareBookkeeping) {
+  const auto hog = [](Env env) -> SimThread {
+    co_await env.compute(20_ms);
+    co_return;
+  };
+  {
+    // Balance pull: idle core 1 pulls a queued hog from core 0.
+    KernelConfig c;
+    c.topo = hw::Topology::make_cores(2, 1);
+    Kernel k(c);
+    runtime::SpawnOpts on0;
+    on0.cpu = 0;
+    for (int i = 0; i < 3; ++i) runtime::spawn(k, "hog", hog, on0);
+    ASSERT_TRUE(step_until(k, 20_ms, [&] {
+      return k.stats().total_migrations() > 0;
+    }));
+    EXPECT_EQ(k.stats().migrations_in_node, 1u);
+    EXPECT_EQ(k.stats().migrations_cross_node, 0u);
+    int moved = 0;
+    for (const auto& t : k.tasks()) {
+      if (t->last_cpu != 1) continue;
+      ++moved;
+      EXPECT_EQ(t->delay.state(), obs::TaskDelayState::kMigrating);
+    }
+    EXPECT_EQ(moved, 1);
+  }
+  {
+    // Wake placement: the sleeper blocked on core 0, which two pinned hogs
+    // keep busy, so its wakeup lands on idle core 1.
+    KernelConfig c;
+    c.topo = hw::Topology::make_cores(2, 1);
+    Kernel k(c);
+    runtime::SpawnOpts on0;
+    on0.cpu = 0;
+    kern::Task* sleeper = runtime::spawn(
+        k, "sleeper",
+        [](Env env) -> SimThread {
+          co_await env.sleep(1_ms);
+          co_await env.compute(1_ms);
+          co_return;
+        },
+        on0);
+    k.run_until(100_us);
+    ASSERT_TRUE(sleeper->blocked());
+    ASSERT_EQ(sleeper->last_cpu, 0);
+    runtime::SpawnOpts pinned0 = on0;
+    pinned0.pin_cpu = 0;
+    runtime::spawn(k, "hog-a", hog, pinned0);
+    runtime::spawn(k, "hog-b", hog, pinned0);
+    const sched::SchedStats before = k.stats();
+    ASSERT_TRUE(step_until(k, 20_ms, [&] { return !sleeper->blocked(); }));
+    EXPECT_EQ(k.stats().wakeup_migrations, before.wakeup_migrations + 1);
+    EXPECT_EQ(k.stats().migrations_in_node, before.migrations_in_node + 1);
+    EXPECT_EQ(k.stats().migrations_cross_node, before.migrations_cross_node);
+    EXPECT_EQ(sleeper->last_cpu, 1);
+    EXPECT_EQ(sleeper->delay.state(), obs::TaskDelayState::kMigrating);
+  }
+  {
+    // Eviction: offlining core 1 (its own socket) moves a VB-parked waiter
+    // and a hog, both pinned there, to core 0.
+    KernelConfig c;
+    c.topo = hw::Topology::make_cores(2, 2);
+    c.features = core::Features::optimized();
+    c.features.vb_auto_disable = false;
+    Kernel k(c);
+    kern::SimWord* w = k.alloc_word(0);
+    runtime::SpawnOpts pinned1;
+    pinned1.cpu = 1;
+    pinned1.pin_cpu = 1;
+    kern::Task* waiter = runtime::spawn(
+        k, "waiter",
+        [w](Env env) -> SimThread {
+          co_await env.futex_wait(w, 0);
+          co_return;
+        },
+        pinned1);
+    kern::Task* runner = runtime::spawn(k, "hog", hog, pinned1);
+    k.run_until(500_us);
+    ASSERT_TRUE(waiter->se.vb_blocked);
+    ASSERT_FALSE(runner->se.vb_blocked);
+    const sched::SchedStats before = k.stats();
+    k.set_online_cores(1);
+    EXPECT_EQ(k.stats().migrations_cross_node,
+              before.migrations_cross_node + 2);
+    EXPECT_EQ(k.stats().migrations_in_node, before.migrations_in_node);
+    EXPECT_EQ(waiter->last_cpu, 0);
+    EXPECT_EQ(runner->last_cpu, 0);
+    EXPECT_EQ(waiter->delay.state(), obs::TaskDelayState::kVbParked);
+    EXPECT_EQ(runner->delay.state(), obs::TaskDelayState::kMigrating);
+    EXPECT_TRUE(k.pinned_violation());
+  }
+}
+
 }  // namespace
 }  // namespace eo

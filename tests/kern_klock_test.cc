@@ -34,9 +34,6 @@ TEST(KLock, ConvoyAccumulates) {
   for (int k = 0; k < 10; ++k) {
     EXPECT_EQ(l.acquire(1000, 200), k * 200);
   }
-  EXPECT_EQ(l.acquisitions(), 10u);
-  EXPECT_EQ(l.total_wait(), 200 * (0 + 1 + 2 + 3 + 4 + 5 + 6 + 7 + 8 + 9));
-  EXPECT_EQ(l.total_hold(), 2000);
 }
 
 }  // namespace
