@@ -5,8 +5,6 @@
 //      three; the misses distinguish ordinary code whose recent branches
 //      happen to be uniform. We measure sensitivity/specificity per combo.
 //  (2) Timer-interval sweep: detection latency vs timer overhead.
-#include <iostream>
-
 #include "bench_util.h"
 #include "workloads/microbench.h"
 #include "workloads/suite.h"
@@ -47,10 +45,8 @@ int main(int argc, char** argv) {
   for (const auto& c : kCombos) combo_labels.emplace_back(c.label);
   exp::Sweep sweep_h("heuristics");
   {
-    metrics::RunConfig base;
+    metrics::RunConfig base = cli.run_config();
     base.deadline = 600_s;
-    bench::apply_metrics(cli, &base);
-    bench::apply_sched(cli, &base);
     sweep_h.base(base)
         .axis("combo", combo_labels,
               [](metrics::RunConfig& rc, std::size_t ci) {
@@ -72,22 +68,18 @@ int main(int argc, char** argv) {
   }
   exp::Sweep sweep_b("interval_baseline");
   {
-    metrics::RunConfig base;
+    metrics::RunConfig base = cli.run_config();
     base.cpus = 8;
     base.sockets = 2;
     base.deadline = 600_s;
-    bench::apply_metrics(cli, &base);
-    bench::apply_sched(cli, &base);
     sweep_b.base(base).axis("reference", {"ft-8T-nobwd"});
   }
   exp::Sweep sweep_i("interval");
   {
-    metrics::RunConfig base;
+    metrics::RunConfig base = cli.run_config();
     base.cpus = 8;
     base.sockets = 2;
     base.deadline = 2000_s;
-    bench::apply_metrics(cli, &base);
-    bench::apply_sched(cli, &base);
     sweep_i.base(base)
         .axis("interval", interval_labels,
               [](metrics::RunConfig& rc, std::size_t ii) {
@@ -99,19 +91,12 @@ int main(int argc, char** argv) {
         .axis("measure", {"lock", "overhead"});
   }
 
-  exp::ExperimentRunner runner_h(sweep_h, cli.runner_options());
-  exp::ExperimentRunner runner_b(sweep_b, cli.runner_options());
-  exp::ExperimentRunner runner_i(sweep_i, cli.runner_options());
-  if (cli.list) {
-    runner_h.list(std::cout);
-    runner_b.list(std::cout);
-    runner_i.list(std::cout);
-    return 0;
-  }
+  bench::Harness h(cli, spec);
+  if (h.listed({&sweep_h, &sweep_b, &sweep_i})) return 0;
 
   bench::print_header("Ablation (BWD)", "heuristic combinations");
-  exp::Outcomes out_h = runner_h.run(
-      [&](const exp::Cell& cell, const metrics::RunConfig& cfg) {
+  const exp::Outcomes& out_h = h.run(
+      sweep_h, [&](const exp::Cell& cell, const metrics::RunConfig& cfg) {
         const bool sens_run = cell.at(1) == 0;
         metrics::RunConfig rc = cfg;
         if (sens_run) {
@@ -128,11 +113,8 @@ int main(int argc, char** argv) {
         }
         rc.cpus = 8;
         rc.sockets = 2;
-        const auto& bspec = workloads::find_benchmark("is");
-        rc.ref_footprint = bspec.ref_footprint();
-        exp::CellRun r(metrics::run_experiment(rc, [&](kern::Kernel& k) {
-          workloads::spawn_benchmark(k, bspec, 32, cli.seed, scale);
-        }));
+        exp::CellRun r(
+            bench::run_suite_cell(workloads::find_benchmark("is"), 32, rc, cli));
         r.set("specificity_pct", r.run.bwd.specificity() * 100.0);
         return r;
       });
@@ -155,22 +137,17 @@ int main(int argc, char** argv) {
 
   bench::print_header("Ablation (BWD)", "monitoring interval sweep");
   const auto run_ft = [&](const metrics::RunConfig& cfg) {
-    const auto& bspec = workloads::find_benchmark("ft");
-    metrics::RunConfig rc = cfg;
-    rc.ref_footprint = bspec.ref_footprint();
-    return metrics::run_experiment(rc, [&](kern::Kernel& k) {
-      workloads::spawn_benchmark(k, bspec, 8, cli.seed, scale);
-    });
+    return bench::run_suite_cell(workloads::find_benchmark("ft"), 8, cfg, cli);
   };
-  exp::Outcomes out_b = runner_b.run(
-      [&](const exp::Cell&, const metrics::RunConfig& cfg) {
+  const exp::Outcomes& out_b = h.run(
+      sweep_b, [&](const exp::Cell&, const metrics::RunConfig& cfg) {
         return run_ft(cfg);
       });
   const bool have_baseline = out_b.at({0}).ran();
   const double baseline_ms = have_baseline ? out_b.at({0}).ms() : 0.0;
 
-  exp::Outcomes out_i = runner_i.run(
-      [&](const exp::Cell& cell, const metrics::RunConfig& cfg) {
+  exp::Outcomes& out_i = h.run(
+      sweep_i, [&](const exp::Cell& cell, const metrics::RunConfig& cfg) {
         const bool lock_run = cell.at(1) == 0;
         if (lock_run) {
           return exp::CellRun(
@@ -205,13 +182,5 @@ int main(int argc, char** argv) {
     t.print();
   }
 
-  exp::ResultDoc doc(spec.id, cli.scale, cli.seed);
-  doc.add_sweep(sweep_h, out_h);
-  doc.add_sweep(sweep_b, out_b);
-  doc.add_sweep(sweep_i, out_i);
-  bool ok = bench::write_results(cli, doc);
-  ok = bench::check_sweep_metrics(out_h, cli) &&
-    bench::check_sweep_metrics(out_b, cli) &&
-    bench::check_sweep_metrics(out_i, cli) && ok;
-  return ok ? 0 : 1;
+  return h.finish();
 }

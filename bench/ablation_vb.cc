@@ -4,8 +4,6 @@
 //      get dedicated cores on wakeup.
 //  (2) flag-check quantum sweep: the quantum trades responsiveness when all
 //      threads on a core are parked against switch churn.
-#include <iostream>
-
 #include "bench_util.h"
 #include "workloads/microbench.h"
 
@@ -30,12 +28,10 @@ int main(int argc, char** argv) {
   const bench::Cli cli = bench::Cli::parse(argc, argv, spec);
   const int iters = std::max(200, static_cast<int>(6000 * cli.scale));
 
-  metrics::RunConfig base;
+  metrics::RunConfig base = cli.run_config();
   base.cpus = 8;
   base.sockets = 1;
   base.deadline = 600_s;
-  bench::apply_metrics(cli, &base);
-  bench::apply_sched(cli, &base);
 
   std::vector<std::string> prim_labels;
   for (const auto p : kPrims) prim_labels.emplace_back(workloads::to_string(p));
@@ -70,17 +66,12 @@ int main(int argc, char** argv) {
                              });
   }
 
-  exp::ExperimentRunner runner_a(sweep_a, cli.runner_options());
-  exp::ExperimentRunner runner_q(sweep_q, cli.runner_options());
-  if (cli.list) {
-    runner_a.list(std::cout);
-    runner_q.list(std::cout);
-    return 0;
-  }
+  bench::Harness h(cli, spec);
+  if (h.listed({&sweep_a, &sweep_q})) return 0;
 
   bench::print_header("Ablation (VB)", "auto-disable threshold");
-  const exp::Outcomes out_a = runner_a.run(
-      [&](const exp::Cell& cell, const metrics::RunConfig& cfg) {
+  const exp::Outcomes& out_a = h.run(
+      sweep_a, [&](const exp::Cell& cell, const metrics::RunConfig& cfg) {
         return metrics::run_experiment(cfg, [&](kern::Kernel& k) {
           workloads::spawn_sync_micro(k, 32, kPrims[cell.at(0)], iters);
         });
@@ -101,8 +92,8 @@ int main(int argc, char** argv) {
 
   bench::print_header("Ablation (VB)",
                       "flag-check quantum sweep (barrier, 32T/8c)");
-  const exp::Outcomes out_q = runner_q.run(
-      [&](const exp::Cell&, const metrics::RunConfig& cfg) {
+  const exp::Outcomes& out_q = h.run(
+      sweep_q, [&](const exp::Cell&, const metrics::RunConfig& cfg) {
         return metrics::run_experiment(cfg, [&](kern::Kernel& k) {
           workloads::spawn_sync_micro(k, 32, workloads::SyncPrimitive::kBarrier,
                                       iters);
@@ -119,11 +110,5 @@ int main(int argc, char** argv) {
     t.print();
   }
 
-  exp::ResultDoc doc(spec.id, cli.scale, cli.seed);
-  doc.add_sweep(sweep_a, out_a);
-  doc.add_sweep(sweep_q, out_q);
-  bool ok = bench::write_results(cli, doc);
-  ok = bench::check_sweep_metrics(out_a, cli) &&
-    bench::check_sweep_metrics(out_q, cli) && ok;
-  return ok ? 0 : 1;
+  return h.finish();
 }

@@ -1,4 +1,4 @@
-// Shared helpers for the bench harnesses.
+// The one harness path of the bench binaries.
 //
 // Every bench binary regenerates one table or figure from the paper. All of
 // them share the `exp::Cli` command line (see src/exp/cli.h):
@@ -12,17 +12,36 @@
 //
 // The positional scale multiplies the simulated round counts, so
 // `./fig09_vb_blocking 1.0` runs the full-length experiment and the default
-// keeps `for b in build/bench/*; do $b; done` quick. `--json` writes the
-// result grid as a schema-validated document (see src/exp/result.h).
+// keeps `for b in build/bench/*; do $b; done` quick.
+//
+// A bench writes only its own parts: the sweep axes, the per-cell run
+// function and the tables. Everything else goes through one `Harness`:
+//
+//   const bench::Cli cli = bench::Cli::parse(argc, argv, spec);
+//   metrics::RunConfig base = cli.run_config();  // --sched, --metrics*, ...
+//   exp::Sweep sweep("name");
+//   sweep.base(base).axis(...);
+//   bench::Harness h(cli, spec);
+//   if (h.listed({&sweep})) return 0;  // --list: ids only, nothing simulates
+//   exp::Outcomes& out = h.run(sweep, [&](const exp::Cell& c,
+//                                         const metrics::RunConfig& cfg) {...});
+//   ... tables, derived values set on `out` ...
+//   return h.finish();  // --json document + telemetry check of every sweep
+//
+// `--trace` benches call `h.traced(...)` between `listed` and the first
+// `run`; suite-benchmark cells run through `run_suite_cell`.
 #pragma once
 
 #include <cmath>
 #include <cstdio>
+#include <deque>
+#include <functional>
 #include <initializer_list>
+#include <iostream>
+#include <memory>
+#include <optional>
 #include <string>
 #include <vector>
-
-#include <memory>
 
 #include "common/json.h"
 #include "exp/cli.h"
@@ -33,40 +52,23 @@
 #include "metrics/table_printer.h"
 #include "obs/export.h"
 #include "obs/fleet_agg.h"
-#include "obs/sampler.h"
 #include "trace/export.h"
 #include "trace/timeline.h"
 #include "trace/trace.h"
+#include "workloads/suite.h"
 
 namespace eo::bench {
 
 using Cli = exp::Cli;
 using CliSpec = exp::CliSpec;
 
-/// Writes the result document when `--json` was given. Returns false (after
-/// printing the reason) if the document fails validation or the write fails;
-/// true when `--json` is off or the write succeeds.
-inline bool write_results(const Cli& cli, const exp::ResultDoc& doc) {
-  if (cli.json_path.empty()) return true;
-  std::string err;
-  if (!doc.write(cli.json_path, &err)) {
-    std::fprintf(stderr, "json: writing %s failed: %s\n",
-                 cli.json_path.c_str(), err.c_str());
-    return false;
-  }
-  std::printf("json: wrote %s\n", cli.json_path.c_str());
-  return true;
-}
-
 /// Exports the run's trace per the --trace* flags and cross-checks it: every
 /// kind in `required` must be present, and the TimelineAnalyzer's
 /// wakeup-latency quantiles must agree with the kernel's own histogram
-/// within 1%. Returns false (after printing the reason) on any failure; true
-/// when tracing is off or everything checks out.
+/// within 1%. Returns false (after printing the reason) on any failure.
 inline bool export_and_check_trace(
     const metrics::RunResult& r, const Cli& cli,
     std::initializer_list<trace::EventKind> required) {
-  if (!cli.tracing()) return true;
   if (!r.trace) {
     std::fprintf(stderr,
                  "trace: run captured no trace (tracing not enabled on the "
@@ -128,21 +130,6 @@ inline bool export_and_check_trace(
   return ok;
 }
 
-/// Sampler configuration per the --metrics* flags (disabled when --metrics
-/// was not given).
-inline obs::SamplerConfig metrics_config(const Cli& cli) {
-  obs::SamplerConfig mc;
-  mc.enabled = cli.metrics;
-  mc.interval = static_cast<SimDuration>(cli.metrics_interval_us) * 1_us;
-  return mc;
-}
-
-/// Applies the --metrics* flags to a RunConfig (for benches building sweeps).
-inline void apply_metrics(const Cli& cli, metrics::RunConfig* cfg) {
-  cfg->metrics = metrics_config(cli);
-  cfg->taskstats = cli.taskstats;
-}
-
 /// Exports the folded-stack state flamegraph when --taskstats=<path> was
 /// given. `workload` becomes the root frame. Returns true when no path was
 /// requested or the export succeeds.
@@ -165,25 +152,11 @@ inline bool export_taskstats_folded(
   return true;
 }
 
-/// Applies the --sched flag to a RunConfig, so every kernel the bench builds
-/// runs under the selected policy plugin.
-inline void apply_sched(const Cli& cli, metrics::RunConfig* cfg) {
-  cfg->sched = cli.sched;
-}
-
-/// Checks the run's telemetry and, when --metrics=<path> was given, exports
-/// the eo-metrics document in the requested format. Any recorded watchdog
-/// violation fails the bench. Returns true when --metrics is off or
-/// everything checks out.
-inline bool export_and_check_metrics(const metrics::RunResult& r,
+/// Checks one run's telemetry document and, when --metrics=<path> was given,
+/// exports it in the requested format. Any recorded watchdog violation fails
+/// the bench. Returns true when everything checks out.
+inline bool export_and_check_metrics(const obs::MetricsDoc& m,
                                      const Cli& cli) {
-  if (!cli.metrics) return true;
-  if (!r.metrics) {
-    std::fprintf(stderr, "metrics: run captured no telemetry (sampler not "
-                         "enabled on the run)\n");
-    return false;
-  }
-  const obs::MetricsDoc& m = *r.metrics;
   if (m.watchdog_violations != 0) {
     std::fprintf(stderr,
                  "metrics: watchdog recorded %llu invariant violation(s) "
@@ -239,7 +212,7 @@ inline bool check_sweep_metrics(const exp::Outcomes& out, const Cli& cli,
     std::fprintf(stderr, "metrics: no cell captured telemetry\n");
     return false;
   }
-  ok = export_and_check_metrics(rep->run, cli) && ok;
+  ok = export_and_check_metrics(*rep->run.metrics, cli) && ok;
   return export_taskstats_folded(
              rep->run.taskstats, cli,
              folded_root.empty() ? rep->cell.id() : folded_root) &&
@@ -316,16 +289,108 @@ inline void print_header(const char* id, const char* what) {
   std::printf("=== %s: %s ===\n", id, what);
 }
 
-inline std::string ratio(double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.2f", v);
-  return buf;
+/// One suite-benchmark cell: `bspec` at `threads` threads under `cfg`, with
+/// the compute rate calibrated to the benchmark's reference footprint.
+inline metrics::RunResult run_suite_cell(const workloads::BenchmarkSpec& bspec,
+                                         int threads,
+                                         const metrics::RunConfig& cfg,
+                                         const Cli& cli) {
+  metrics::RunConfig rc = cfg;
+  rc.ref_footprint = bspec.ref_footprint();
+  return metrics::run_experiment(rc, [&](kern::Kernel& k) {
+    workloads::spawn_benchmark(k, bspec, threads, cli.seed, cli.scale);
+  });
 }
 
-inline std::string ms(SimDuration d) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.1f", to_ms(d));
-  return buf;
-}
+/// The list-or-run entry, the sweep runner and the result tail every bench
+/// shares (see the file comment for the call order).
+class Harness {
+ public:
+  using TracedRun =
+      std::function<metrics::RunResult(const metrics::RunConfig&)>;
+
+  Harness(const Cli& cli, const CliSpec& spec)
+      : cli_(cli),
+        opts_(cli.runner_options()),
+        doc_(spec.id, cli.scale, cli.seed) {}
+
+  /// Under --list prints the (filtered) cell ids of every sweep, in order,
+  /// and returns true: the bench then exits 0 before anything simulates.
+  bool listed(std::initializer_list<const exp::Sweep*> sweeps) const {
+    if (!cli_.list) return false;
+    for (const exp::Sweep* s : sweeps) {
+      exp::ExperimentRunner(*s, opts_).list(std::cout);
+    }
+    return true;
+  }
+
+  /// The --trace prelude: runs `cfg` once under --sched with tracing on
+  /// (1M-event rings), prints its exec time under `label`, then exports and
+  /// checks the trace (export_and_check_trace). Returns the bench's exit
+  /// code when it stops here (1 on a failed check, 0 under --trace-only),
+  /// nullopt when it goes on to its grid or --trace was not given.
+  std::optional<int> traced(metrics::RunConfig cfg, const char* label,
+                            const TracedRun& run,
+                            std::initializer_list<trace::EventKind> required)
+      const {
+    if (!cli_.tracing()) return std::nullopt;
+    cfg.sched = cli_.sched;
+    cfg.trace.enabled = true;
+    cfg.trace.ring_capacity = 1u << 20;
+    const metrics::RunResult r = run(cfg);
+    std::printf("traced run: %s exec=%s ms\n", label,
+                metrics::TablePrinter::num(to_ms(r.exec_time), 1).c_str());
+    if (!export_and_check_trace(r, cli_, required)) return 1;
+    if (cli_.trace_only) return 0;
+    return std::nullopt;
+  }
+
+  /// Runs one sweep and keeps its outcomes for finish(). The reference
+  /// stays valid, so derived values set on it land in the document.
+  exp::Outcomes& run(const exp::Sweep& sweep,
+                     const exp::ExperimentRunner::RunFn& fn) {
+    runs_.push_back({sweep, exp::ExperimentRunner(sweep, opts_).run(fn)});
+    return runs_.back().out;
+  }
+
+  /// The --progress sink (null for "none"), for fleets that feed it too.
+  obs::ProgressSink* progress() const { return opts_.sink.get(); }
+
+  /// The result document, for benches adding their own `meta`.
+  exp::ResultDoc& doc() { return doc_; }
+
+  /// Writes the document of every run sweep when --json was given, then
+  /// runs the sweep telemetry check on each (check_sweep_metrics, folded
+  /// roots per `folded_root`). Returns the bench's exit code.
+  int finish(const std::string& folded_root = "") {
+    bool ok = true;
+    for (const SweepRun& r : runs_) doc_.add_sweep(r.sweep, r.out);
+    if (!cli_.json_path.empty()) {
+      std::string err;
+      if (doc_.write(cli_.json_path, &err)) {
+        std::printf("json: wrote %s\n", cli_.json_path.c_str());
+      } else {
+        std::fprintf(stderr, "json: writing %s failed: %s\n",
+                     cli_.json_path.c_str(), err.c_str());
+        ok = false;
+      }
+    }
+    for (const SweepRun& r : runs_) {
+      ok = check_sweep_metrics(r.out, cli_, folded_root) && ok;
+    }
+    return ok ? 0 : 1;
+  }
+
+ private:
+  struct SweepRun {
+    exp::Sweep sweep;
+    exp::Outcomes out;
+  };
+
+  const Cli& cli_;
+  exp::RunnerOptions opts_;
+  exp::ResultDoc doc_;
+  std::deque<SweepRun> runs_;  // deque: run() hands out stable references
+};
 
 }  // namespace eo::bench

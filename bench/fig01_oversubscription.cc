@@ -3,8 +3,6 @@
 // Values are 32T execution time normalized to 8T; the paper's three groups
 // should appear: ~1.0 (unaffected), <1.0 (benefit), and >1 up to ~25x
 // (suffering; dedup/cholesky/lu are the annotated outliers).
-#include <iostream>
-
 #include "bench_util.h"
 #include "workloads/suite.h"
 
@@ -21,36 +19,26 @@ int main(int argc, char** argv) {
   std::vector<std::string> names;
   for (const auto& s : all) names.push_back(s.name);
 
-  metrics::RunConfig base;
+  metrics::RunConfig base = cli.run_config();
   base.cpus = 8;
   base.sockets = 2;
   base.features = core::Features::vanilla();
   base.deadline = 600_s;
-  bench::apply_metrics(cli, &base);
-  bench::apply_sched(cli, &base);
 
   exp::Sweep sweep("oversubscription");
   sweep.base(base)
       .axis("benchmark", names)
       .axis("threads", {"8T", "32T"});
 
-  exp::ExperimentRunner runner(sweep, cli.runner_options());
-  if (cli.list) {
-    runner.list(std::cout);
-    return 0;
-  }
+  bench::Harness h(cli, spec);
+  if (h.listed({&sweep})) return 0;
 
   bench::print_header("Figure 1",
                       "normalized execution time, 32T vs 8T on 8 cores");
-  const exp::Outcomes out = runner.run(
-      [&](const exp::Cell& cell, const metrics::RunConfig& cfg) {
-        const auto& bspec = all[cell.at(0)];
-        const int threads = cell.at(1) == 0 ? 8 : 32;
-        metrics::RunConfig rc = cfg;
-        rc.ref_footprint = bspec.ref_footprint();
-        return metrics::run_experiment(rc, [&](kern::Kernel& k) {
-          workloads::spawn_benchmark(k, bspec, threads, cli.seed, cli.scale);
-        });
+  const exp::Outcomes& out = h.run(
+      sweep, [&](const exp::Cell& cell, const metrics::RunConfig& cfg) {
+        return bench::run_suite_cell(all[cell.at(0)], cell.at(1) == 0 ? 8 : 32,
+                                     cfg, cli);
       });
 
   metrics::TablePrinter table(
@@ -67,9 +55,5 @@ int main(int argc, char** argv) {
   }
   table.print();
 
-  exp::ResultDoc doc(spec.id, cli.scale, cli.seed);
-  doc.add_sweep(sweep, out);
-  bool ok = bench::write_results(cli, doc);
-  ok = bench::check_sweep_metrics(out, cli) && ok;
-  return ok ? 0 : 1;
+  return h.finish();
 }

@@ -4,36 +4,10 @@
 //      ~0.2%, flat in the thread count.
 //  (b) computation with synchronization: one shared atomic fetch-add per
 //      chunk adds no extra oversubscription overhead.
-#include <iostream>
-
 #include "bench_util.h"
 #include "workloads/microbench.h"
 
 using namespace eo;
-
-namespace {
-
-// Traced configuration: 8 threads time-sharing one core with a shared
-// atomic per chunk — a dense stream of context switches and wakeups.
-bool run_traced(const bench::Cli& cli) {
-  metrics::RunConfig rc;
-  rc.cpus = 1;
-  rc.sockets = 1;
-  rc.sched = cli.sched;
-  rc.deadline = 600_s;
-  rc.trace.enabled = true;
-  rc.trace.ring_capacity = 1u << 20;
-  const auto work = static_cast<SimDuration>(2_s * cli.scale);
-  const auto r = metrics::run_experiment(rc, [&](kern::Kernel& k) {
-    workloads::spawn_compute_atomic(k, 8, work, 750_us);
-  });
-  std::printf("traced run: 8T atomic-yield on 1 core exec=%s ms\n",
-              bench::ms(r.exec_time).c_str());
-  return bench::export_and_check_trace(
-      r, cli, {trace::EventKind::kSwitchIn, trace::EventKind::kSwitchOut});
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   const bench::CliSpec spec{
@@ -42,17 +16,11 @@ int main(int argc, char** argv) {
       .default_scale = 1.0,
       .supports_trace = true};
   const bench::Cli cli = bench::Cli::parse(argc, argv, spec);
-  if (cli.tracing()) {
-    if (!run_traced(cli)) return 1;
-    if (cli.trace_only) return 0;
-  }
 
-  metrics::RunConfig base;
+  metrics::RunConfig base = cli.run_config();
   base.cpus = 1;
   base.sockets = 1;
   base.deadline = 600_s;
-  bench::apply_metrics(cli, &base);
-  bench::apply_sched(cli, &base);
 
   std::vector<std::string> thread_labels;
   for (int t = 1; t <= 8; ++t) thread_labels.push_back(std::to_string(t) + "T");
@@ -62,15 +30,29 @@ int main(int argc, char** argv) {
       .axis("variant", {"pure", "atomic"})
       .axis("threads", thread_labels);
 
-  exp::ExperimentRunner runner(sweep, cli.runner_options());
-  if (cli.list) {
-    runner.list(std::cout);
-    return 0;
-  }
+  bench::Harness h(cli, spec);
+  if (h.listed({&sweep})) return 0;
 
   const auto work = static_cast<SimDuration>(2_s * cli.scale);
-  exp::Outcomes out = runner.run(
-      [&](const exp::Cell& cell, const metrics::RunConfig& cfg) {
+  // Traced configuration: 8 threads time-sharing one core with a shared
+  // atomic per chunk — a dense stream of context switches and wakeups.
+  metrics::RunConfig trace_cfg;
+  trace_cfg.cpus = 1;
+  trace_cfg.sockets = 1;
+  trace_cfg.deadline = 600_s;
+  if (const auto code = h.traced(
+          trace_cfg, "8T atomic-yield on 1 core",
+          [&](const metrics::RunConfig& rc) {
+            return metrics::run_experiment(rc, [&](kern::Kernel& k) {
+              workloads::spawn_compute_atomic(k, 8, work, 750_us);
+            });
+          },
+          {trace::EventKind::kSwitchIn, trace::EventKind::kSwitchOut})) {
+    return *code;
+  }
+
+  exp::Outcomes& out = h.run(
+      sweep, [&](const exp::Cell& cell, const metrics::RunConfig& cfg) {
         const bool with_atomic = cell.at(0) == 1;
         const int threads = static_cast<int>(cell.at(1)) + 1;
         return metrics::run_experiment(cfg, [&](kern::Kernel& k) {
@@ -116,9 +98,5 @@ int main(int argc, char** argv) {
   print_variant(1, "Figure 2(b)",
                 "computation with shared atomic fetch-add per chunk");
 
-  exp::ResultDoc doc(spec.id, cli.scale, cli.seed);
-  doc.add_sweep(sweep, out);
-  bool ok = bench::write_results(cli, doc);
-  ok = bench::check_sweep_metrics(out, cli) && ok;
-  return ok ? 0 : 1;
+  return h.finish();
 }

@@ -3,7 +3,6 @@
 // The paper's finding: most programs synchronize no more often than every
 // 1000 µs (CS overhead < 0.15%); the most frequent is facesim at 160 µs
 // (overhead still < 1%).
-#include <iostream>
 #include <map>
 
 #include "bench_util.h"
@@ -28,18 +27,15 @@ int main(int argc, char** argv) {
 
   exp::Sweep sweep("sync_interval");
   sweep.axis("benchmark", names);
-  exp::ExperimentRunner runner(sweep, cli.runner_options());
-  if (cli.list) {
-    runner.list(std::cout);
-    return 0;
-  }
+  bench::Harness h(cli, spec);
+  if (h.listed({&sweep})) return 0;
 
   bench::print_header("Figure 3",
                       "interval between synchronizations (at optimal threads)");
   // No simulation: the intervals are properties of the workload models. The
   // cells carry the derived values so the JSON document mirrors the figure.
-  const exp::Outcomes out = runner.run(
-      [&](const exp::Cell& cell, const metrics::RunConfig&) {
+  const exp::Outcomes& out = h.run(
+      sweep, [&](const exp::Cell& cell, const metrics::RunConfig&) {
         const auto& bspec = *synced[cell.at(0)];
         const double us = to_us(bspec.interval);
         exp::CellRun r;
@@ -72,7 +68,5 @@ int main(int argc, char** argv) {
   std::printf("\nPer-benchmark detail:\n");
   detail.print();
 
-  exp::ResultDoc doc(spec.id, cli.scale, cli.seed);
-  doc.add_sweep(sweep, out);
-  return bench::write_results(cli, doc) ? 0 : 1;
+  return h.finish();
 }

@@ -9,8 +9,6 @@
 //    more L2 misses), negative again beyond 4 MB (sub-arrays fit the STLB);
 //  * rnd-rmw: oversubscription always favorable beyond 256 KB (writebacks
 //    make the L2 irrelevant).
-#include <iostream>
-
 #include "bench_util.h"
 #include "workloads/microbench.h"
 
@@ -39,12 +37,10 @@ int main(int argc, char** argv) {
                                      : std::to_string(b / 1024) + "KB");
   }
 
-  metrics::RunConfig base;
+  metrics::RunConfig base = cli.run_config();
   base.cpus = 1;
   base.sockets = 1;
   base.deadline = 3000_s;
-  bench::apply_metrics(cli, &base);
-  bench::apply_sched(cli, &base);
 
   exp::Sweep sweep("indirect_cost");
   sweep.base(base)
@@ -52,17 +48,14 @@ int main(int argc, char** argv) {
       .axis("size", size_labels)
       .axis("threads", {"1T", "2T"});
 
-  exp::ExperimentRunner runner(sweep, cli.runner_options());
-  if (cli.list) {
-    runner.list(std::cout);
-    return 0;
-  }
+  bench::Harness h(cli, spec);
+  if (h.listed({&sweep})) return 0;
 
   bench::print_header(
       "Figure 4",
       "indirect cost per context switch (us), 2 threads vs 1, one core");
-  exp::Outcomes out = runner.run(
-      [&](const exp::Cell& cell, const metrics::RunConfig& cfg) {
+  exp::Outcomes& out = h.run(
+      sweep, [&](const exp::Cell& cell, const metrics::RunConfig& cfg) {
         const auto pattern = patterns[cell.at(0)];
         const auto bytes = sizes[cell.at(1)];
         const int threads = cell.at(2) == 0 ? 1 : 2;
@@ -114,9 +107,5 @@ int main(int argc, char** argv) {
   }
   t.print();
 
-  exp::ResultDoc doc(spec.id, cli.scale, cli.seed);
-  doc.add_sweep(sweep, out);
-  bool ok = bench::write_results(cli, doc);
-  ok = bench::check_sweep_metrics(out, cli) && ok;
-  return ok ? 0 : 1;
+  return h.finish();
 }

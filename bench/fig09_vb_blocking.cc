@@ -4,41 +4,12 @@
 // 32T(optimized) is close to the 8T baseline, and for freqmine/ocean/cg/mg
 // even beats it; fluidanimate keeps a residual slowdown (its lock count
 // scales with the thread count).
-#include <iostream>
-
 #include "bench_util.h"
 #include "workloads/suite.h"
 
 using namespace eo;
 
 namespace {
-
-// Representative traced configuration: "cg" at 32 threads (optimized) on 8
-// cores. cg mixes futex blocking (so VB parks and flag-check quanta appear)
-// with tight spin loops (so BWD samples and deschedules appear), making its
-// trace exercise every subsystem the figure is about.
-bool run_traced(const bench::Cli& cli) {
-  const auto& spec = workloads::find_benchmark("cg");
-  metrics::RunConfig rc;
-  rc.cpus = 8;
-  rc.sockets = 2;
-  rc.sched = cli.sched;
-  rc.features = core::Features::optimized();
-  rc.ref_footprint = spec.ref_footprint();
-  rc.deadline = 600_s;
-  rc.trace.enabled = true;
-  rc.trace.ring_capacity = 1u << 20;
-  const auto r = metrics::run_experiment(rc, [&](kern::Kernel& k) {
-    workloads::spawn_benchmark(k, spec, 32, cli.seed, cli.scale);
-  });
-  std::printf("traced run: cg 32T(opt-8c) exec=%s ms\n",
-              bench::ms(r.exec_time).c_str());
-  return bench::export_and_check_trace(
-      r, cli,
-      {trace::EventKind::kSwitchIn, trace::EventKind::kFutexWait,
-       trace::EventKind::kFutexWake, trace::EventKind::kVbSkipQuantum,
-       trace::EventKind::kBwdDesched});
-}
 
 struct Config {
   int threads;
@@ -55,10 +26,6 @@ int main(int argc, char** argv) {
       .default_scale = 0.2,
       .supports_trace = true};
   const bench::Cli cli = bench::Cli::parse(argc, argv, spec);
-  if (cli.tracing()) {
-    if (!run_traced(cli)) return 1;
-    if (cli.trace_only) return 0;
-  }
 
   const auto names = workloads::fig9_benchmarks();
   const std::vector<Config> configs = {
@@ -69,12 +36,10 @@ int main(int argc, char** argv) {
       "8T(van-8c)", "32T(van-8c)", "32T(opt-8c)",
       "8T(van-8ht)", "32T(van-8ht)", "32T(opt-8ht)"};
 
-  metrics::RunConfig base;
+  metrics::RunConfig base = cli.run_config();
   base.cpus = 8;
   base.sockets = 2;
   base.deadline = 600_s;
-  bench::apply_metrics(cli, &base);
-  bench::apply_sched(cli, &base);
 
   exp::Sweep sweep("vb_blocking");
   sweep.base(base)
@@ -87,23 +52,37 @@ int main(int argc, char** argv) {
                                 : core::Features::vanilla();
             });
 
-  exp::ExperimentRunner runner(sweep, cli.runner_options());
-  if (cli.list) {
-    runner.list(std::cout);
-    return 0;
+  bench::Harness h(cli, spec);
+  if (h.listed({&sweep})) return 0;
+
+  // Representative traced configuration: "cg" at 32 threads (optimized) on 8
+  // cores. cg mixes futex blocking (so VB parks and flag-check quanta
+  // appear) with tight spin loops (so BWD samples and deschedules appear),
+  // making its trace exercise every subsystem the figure is about.
+  metrics::RunConfig trace_cfg;
+  trace_cfg.cpus = 8;
+  trace_cfg.sockets = 2;
+  trace_cfg.features = core::Features::optimized();
+  trace_cfg.deadline = 600_s;
+  if (const auto code = h.traced(
+          trace_cfg, "cg 32T(opt-8c)",
+          [&](const metrics::RunConfig& rc) {
+            return bench::run_suite_cell(workloads::find_benchmark("cg"), 32,
+                                         rc, cli);
+          },
+          {trace::EventKind::kSwitchIn, trace::EventKind::kFutexWait,
+           trace::EventKind::kFutexWake, trace::EventKind::kVbSkipQuantum,
+           trace::EventKind::kBwdDesched})) {
+    return *code;
   }
 
   bench::print_header("Figure 9",
                       "VB on blocking benchmarks (normalized to 8T vanilla)");
-  const exp::Outcomes out = runner.run(
-      [&](const exp::Cell& cell, const metrics::RunConfig& cfg) {
-        const auto& bspec = workloads::find_benchmark(names[cell.at(0)]);
-        const int threads = configs[cell.at(1)].threads;
-        metrics::RunConfig rc = cfg;
-        rc.ref_footprint = bspec.ref_footprint();
-        return metrics::run_experiment(rc, [&](kern::Kernel& k) {
-          workloads::spawn_benchmark(k, bspec, threads, cli.seed, cli.scale);
-        });
+  const exp::Outcomes& out = h.run(
+      sweep, [&](const exp::Cell& cell, const metrics::RunConfig& cfg) {
+        return bench::run_suite_cell(
+            workloads::find_benchmark(names[cell.at(0)]),
+            configs[cell.at(1)].threads, cfg, cli);
       });
 
   metrics::TablePrinter table({"benchmark", "8T(van-8c)", "32T(van-8c)",
@@ -123,9 +102,5 @@ int main(int argc, char** argv) {
   table.print();
   std::printf("(columns normalized to 8T vanilla on 8 full cores)\n");
 
-  exp::ResultDoc doc(spec.id, cli.scale, cli.seed);
-  doc.add_sweep(sweep, out);
-  bool ok = bench::write_results(cli, doc);
-  ok = bench::check_sweep_metrics(out, cli) && ok;
-  return ok ? 0 : 1;
+  return h.finish();
 }

@@ -4,8 +4,6 @@
 //      ~2.3x for condition variables (group wakeups).
 //  (b) 32 threads on 1..32 cores: the group-synchronization speedups grow
 //      (to ~3x barrier, ~5x cond).
-#include <iostream>
-
 #include "bench_util.h"
 #include "workloads/microbench.h"
 
@@ -25,12 +23,10 @@ exp::Sweep make_sweep(const bench::Cli& cli, const std::string& name,
   std::vector<std::string> count_labels;
   for (const int c : counts) count_labels.push_back(std::to_string(c));
   exp::Sweep sweep(name);
-  metrics::RunConfig base;
+  metrics::RunConfig base = cli.run_config();
   base.cpus = 1;
   base.sockets = 1;
   base.deadline = 600_s;
-  bench::apply_metrics(cli, &base);
-  bench::apply_sched(cli, &base);
   sweep.base(base)
       .axis("primitive", kPrimLabels)
       .axis(vary_axis, count_labels,
@@ -91,18 +87,13 @@ int main(int argc, char** argv) {
   exp::Sweep sweep_b = make_sweep(cli, "cores_at_32T", "cores", cores,
                                   /*vary_cores=*/true);
 
-  exp::ExperimentRunner runner_a(sweep_a, cli.runner_options());
-  exp::ExperimentRunner runner_b(sweep_b, cli.runner_options());
-  if (cli.list) {
-    runner_a.list(std::cout);
-    runner_b.list(std::cout);
-    return 0;
-  }
+  bench::Harness h(cli, spec);
+  if (h.listed({&sweep_a, &sweep_b})) return 0;
 
   bench::print_header("Figure 10(a)",
                       "VB speedup, varying threads on one core");
-  exp::Outcomes out_a = runner_a.run(
-      [&](const exp::Cell& cell, const metrics::RunConfig& cfg) {
+  exp::Outcomes& out_a = h.run(
+      sweep_a, [&](const exp::Cell& cell, const metrics::RunConfig& cfg) {
         return metrics::run_experiment(cfg, [&](kern::Kernel& k) {
           workloads::spawn_sync_micro(k, threads[cell.at(1)],
                                       kPrims[cell.at(0)], iters);
@@ -112,19 +103,13 @@ int main(int argc, char** argv) {
 
   bench::print_header("Figure 10(b)",
                       "VB speedup, 32 threads on varying cores");
-  exp::Outcomes out_b = runner_b.run(
-      [&](const exp::Cell& cell, const metrics::RunConfig& cfg) {
+  exp::Outcomes& out_b = h.run(
+      sweep_b, [&](const exp::Cell& cell, const metrics::RunConfig& cfg) {
         return metrics::run_experiment(cfg, [&](kern::Kernel& k) {
           workloads::spawn_sync_micro(k, 32, kPrims[cell.at(0)], iters);
         });
       });
   finish_sweep("cores", cores, out_b);
 
-  exp::ResultDoc doc(spec.id, cli.scale, cli.seed);
-  doc.add_sweep(sweep_a, out_a);
-  doc.add_sweep(sweep_b, out_b);
-  bool ok = bench::write_results(cli, doc);
-  ok = bench::check_sweep_metrics(out_a, cli) &&
-    bench::check_sweep_metrics(out_b, cli) && ok;
-  return ok ? 0 : 1;
+  return h.finish();
 }

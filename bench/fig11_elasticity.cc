@@ -5,8 +5,6 @@
 // Expected: with VB, 32 threads is never worse than 8 threads and scales to
 // 32 cores; pinning cannot adapt (paper: programs crashed when the core
 // count decreased — reported here as "crash"), and leaves added cores unused.
-#include <iostream>
-
 #include "bench_util.h"
 #include "runtime/sim_thread.h"
 #include "workloads/suite.h"
@@ -76,12 +74,10 @@ int main(int argc, char** argv) {
   std::vector<std::string> core_labels;
   for (const int c : cores) core_labels.push_back(std::to_string(c) + "c");
 
-  metrics::RunConfig base;
+  metrics::RunConfig base = cli.run_config();
   base.cpus = 32;  // machine capacity; the container is resized at runtime
   base.sockets = 2;
   base.deadline = 600_s;
-  bench::apply_metrics(cli, &base);
-  bench::apply_sched(cli, &base);
 
   exp::Sweep sweep("elasticity");
   sweep.base(base)
@@ -93,16 +89,13 @@ int main(int argc, char** argv) {
             })
       .axis("cores", core_labels);
 
-  exp::ExperimentRunner runner(sweep, cli.runner_options());
-  if (cli.list) {
-    runner.list(std::cout);
-    return 0;
-  }
+  bench::Harness h(cli, spec);
+  if (h.listed({&sweep})) return 0;
 
   bench::print_header("Figure 11",
                       "runtime core-count adaptation (exec time, ms)");
-  const exp::Outcomes out = runner.run(
-      [&](const exp::Cell& cell, const metrics::RunConfig& cfg) {
+  const exp::Outcomes& out = h.run(
+      sweep, [&](const exp::Cell& cell, const metrics::RunConfig& cfg) {
         const auto& bspec = workloads::find_benchmark(names[cell.at(0)]);
         const Cfg& c = kCfgs[cell.at(1)];
         const int n_cores = cores[cell.at(2)];
@@ -135,9 +128,5 @@ int main(int argc, char** argv) {
     t.print();
   }
 
-  exp::ResultDoc doc(spec.id, cli.scale, cli.seed);
-  doc.add_sweep(sweep, out);
-  bool ok = bench::write_results(cli, doc);
-  ok = bench::check_sweep_metrics(out, cli) && ok;
-  return ok ? 0 : 1;
+  return h.finish();
 }

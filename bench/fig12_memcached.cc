@@ -6,8 +6,6 @@
 // throughput/latency (~6%) but inflates p95/p99 tail latency ~8x; VB removes
 // most of the tail inflation (92%/60%) and tracks the best config as cores
 // scale.
-#include <iostream>
-
 #include "bench_util.h"
 #include "workloads/memcached.h"
 #include "workloads/mutilate.h"
@@ -55,13 +53,15 @@ exp::CellRun run_one(int workers, double rate, const metrics::RunConfig& cfg,
 
   // Open-loop: the window always closes, and the measured span is the
   // window plus the drain.
+  const SimDuration span = window + 100_ms;
+  const Histogram& lat = server.latencies();
   exp::CellRun r(metrics::read_out(k, cfg, /*completed=*/true));
-  r.run.exec_time = window + 100_ms;
-  r.set("tput_ops_s", server.latencies().throughput(window + 100_ms))
-      .set("avg_us", server.latencies().mean_us())
-      .set("p95_us", server.latencies().p95_us())
-      .set("p99_us", server.latencies().p99_us())
-      .set("p999_us", server.latencies().p999_us());
+  r.run.exec_time = span;
+  r.set("tput_ops_s", static_cast<double>(lat.total_count()) / to_sec(span))
+      .set("avg_us", to_us(static_cast<SimDuration>(lat.mean())))
+      .set("p95_us", to_us(lat.p95()))
+      .set("p99_us", to_us(lat.p99()))
+      .set("p999_us", to_us(lat.p999()));
   return r;
 }
 
@@ -84,12 +84,8 @@ int main(int argc, char** argv) {
   std::vector<std::string> cfg_labels;
   for (const auto& c : kCfgs) cfg_labels.emplace_back(c.label);
 
-  metrics::RunConfig base;
-  bench::apply_metrics(cli, &base);
-  bench::apply_sched(cli, &base);
-
   exp::Sweep sweep("memcached");
-  sweep.base(base)
+  sweep.base(cli.run_config())
       .axis("cores", core_labels,
              [&](metrics::RunConfig& rc, std::size_t ki) {
                rc.cpus = cores[ki];
@@ -101,15 +97,12 @@ int main(int argc, char** argv) {
                                                 : core::Features::vanilla();
             });
 
-  exp::ExperimentRunner runner(sweep, cli.runner_options());
-  if (cli.list) {
-    runner.list(std::cout);
-    return 0;
-  }
+  bench::Harness h(cli, spec);
+  if (h.listed({&sweep})) return 0;
 
   bench::print_header("Figure 12", "memcached throughput and latency");
-  const exp::Outcomes out = runner.run(
-      [&](const exp::Cell& cell, const metrics::RunConfig& cfg) {
+  const exp::Outcomes& out = h.run(
+      sweep, [&](const exp::Cell& cell, const metrics::RunConfig& cfg) {
         return run_one(kCfgs[cell.at(1)].workers, rates[cell.at(0)], cfg,
                        cli.seed, cli.scale);
       });
@@ -136,9 +129,5 @@ int main(int argc, char** argv) {
     t.print();
   }
 
-  exp::ResultDoc doc(spec.id, cli.scale, cli.seed);
-  doc.add_sweep(sweep, out);
-  const bool ok =
-      bench::write_results(cli, doc) && bench::check_sweep_metrics(out, cli);
-  return ok ? 0 : 1;
+  return h.finish();
 }

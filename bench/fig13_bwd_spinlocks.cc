@@ -15,8 +15,6 @@
 //
 // Expected shape: 32T vanilla is several-x slower than 8T vanilla; 32T
 // optimized (BWD) is close to 8T; PLE tracks vanilla.
-#include <iostream>
-
 #include "bench_util.h"
 #include "locks/spinlocks.h"
 #include "workloads/pipeline.h"
@@ -58,34 +56,6 @@ core::Features features_for(bool vm, std::size_t ci) {
   }
 }
 
-// Traced configuration: the TTAS pipeline at 32 threads (optimized) in a
-// container — the oversubscribed spin workload BWD exists to fix.
-bool run_traced(const bench::Cli& cli, int items,
-                SimDuration total_stage_work) {
-  metrics::RunConfig rc;
-  rc.cpus = 8;
-  rc.sockets = 2;
-  rc.sched = cli.sched;
-  rc.features = core::Features::optimized();
-  rc.deadline = 2000_s;
-  rc.trace.enabled = true;
-  rc.trace.ring_capacity = 1u << 20;
-  const auto r = metrics::run_experiment(rc, [&](kern::Kernel& k) {
-    workloads::PipelineConfig pc;
-    pc.n_stages = 32;
-    pc.items = items;
-    pc.stage_work = total_stage_work / 32;
-    pc.uses_pause = lock_uses_pause(locks::SpinLockKind::kTtas);
-    workloads::spawn_spin_pipeline(k, pc);
-  });
-  std::printf("traced run: ttas 32T(opt) pipeline exec=%s ms\n",
-              bench::ms(r.exec_time).c_str());
-  return bench::export_and_check_trace(
-      r, cli,
-      {trace::EventKind::kSwitchIn, trace::EventKind::kBwdSample,
-       trace::EventKind::kBwdDesched});
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -97,10 +67,19 @@ int main(int argc, char** argv) {
   const bench::Cli cli = bench::Cli::parse(argc, argv, spec);
   const int items = std::max(40, static_cast<int>(600 * cli.scale));
   const SimDuration total_stage_work = 2_ms;  // per item, across all stages
-  if (cli.tracing()) {
-    if (!run_traced(cli, items, total_stage_work)) return 1;
-    if (cli.trace_only) return 0;
-  }
+  // The spin pipeline at `threads` stages (strong scaling: the per-item work
+  // is split across them), waiting with `kind`.
+  const auto run_pipeline = [&](const metrics::RunConfig& rc, int threads,
+                                locks::SpinLockKind kind) {
+    return metrics::run_experiment(rc, [&](kern::Kernel& k) {
+      workloads::PipelineConfig pc;
+      pc.n_stages = threads;
+      pc.items = items;
+      pc.stage_work = total_stage_work / threads;
+      pc.uses_pause = lock_uses_pause(kind);
+      workloads::spawn_spin_pipeline(k, pc);
+    });
+  };
 
   const auto& kinds = locks::all_spinlock_kinds();
   std::vector<std::string> kind_labels;
@@ -108,12 +87,10 @@ int main(int argc, char** argv) {
   std::vector<std::string> cfg_labels;
   for (const auto& c : kCfgs) cfg_labels.emplace_back(c.label);
 
-  metrics::RunConfig base;
+  metrics::RunConfig base = cli.run_config();
   base.cpus = 8;
   base.sockets = 2;
   base.deadline = 2000_s;
-  bench::apply_metrics(cli, &base);
-  bench::apply_sched(cli, &base);
 
   exp::Sweep sweep("bwd_spinlocks");
   sweep.base(base)
@@ -121,29 +98,35 @@ int main(int argc, char** argv) {
       .axis("spinlock", kind_labels)
       .axis("config", cfg_labels);
 
-  exp::ExperimentRunner runner(sweep, cli.runner_options());
-  if (cli.list) {
-    runner.list(std::cout);
-    return 0;
+  bench::Harness h(cli, spec);
+  if (h.listed({&sweep})) return 0;
+
+  // Traced configuration: the TTAS pipeline at 32 threads (optimized) in a
+  // container — the oversubscribed spin workload BWD exists to fix.
+  metrics::RunConfig trace_cfg;
+  trace_cfg.cpus = 8;
+  trace_cfg.sockets = 2;
+  trace_cfg.features = core::Features::optimized();
+  trace_cfg.deadline = 2000_s;
+  if (const auto code = h.traced(
+          trace_cfg, "ttas 32T(opt) pipeline",
+          [&](const metrics::RunConfig& rc) {
+            return run_pipeline(rc, 32, locks::SpinLockKind::kTtas);
+          },
+          {trace::EventKind::kSwitchIn, trace::EventKind::kBwdSample,
+           trace::EventKind::kBwdDesched})) {
+    return *code;
   }
 
-  const exp::Outcomes out = runner.run(
-      [&](const exp::Cell& cell, const metrics::RunConfig& cfg) {
+  const exp::Outcomes& out = h.run(
+      sweep, [&](const exp::Cell& cell, const metrics::RunConfig& cfg) {
         const bool vm = cell.at(0) == 1;
         const std::size_t ci = cell.at(2);
         if (!vm && ci == 2) return exp::CellRun::na();  // PLE needs a VM
         metrics::RunConfig rc = cfg;
         rc.features = features_for(vm, ci);
-        const auto kind = kinds[cell.at(1)];
-        const int threads = kCfgs[ci].threads;
-        return exp::CellRun(metrics::run_experiment(rc, [&](kern::Kernel& k) {
-          workloads::PipelineConfig pc;
-          pc.n_stages = threads;
-          pc.items = items;
-          pc.stage_work = total_stage_work / threads;  // strong scaling
-          pc.uses_pause = lock_uses_pause(kind);
-          workloads::spawn_spin_pipeline(k, pc);
-        }));
+        return exp::CellRun(
+            run_pipeline(rc, kCfgs[ci].threads, kinds[cell.at(1)]));
       });
 
   const auto print_mode = [&](std::size_t mi, const char* header,
@@ -169,9 +152,5 @@ int main(int argc, char** argv) {
   print_mode(0, "Figure 13(a)", "spin pipeline in a container (exec ms)");
   print_mode(1, "Figure 13(b)", "spin pipeline in a KVM VM (exec ms)");
 
-  exp::ResultDoc doc(spec.id, cli.scale, cli.seed);
-  doc.add_sweep(sweep, out);
-  bool ok = bench::write_results(cli, doc);
-  ok = bench::check_sweep_metrics(out, cli) && ok;
-  return ok ? 0 : 1;
+  return h.finish();
 }

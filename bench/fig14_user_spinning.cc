@@ -4,8 +4,6 @@
 // (worsening somewhat with the ratio — its detection interval is fixed);
 // PLE is inapplicable in containers (∅) and ineffective in VMs because these
 // spin loops contain no PAUSE/NOP.
-#include <iostream>
-
 #include "bench_util.h"
 #include "workloads/suite.h"
 
@@ -44,12 +42,10 @@ int main(int argc, char** argv) {
   std::vector<std::string> thread_labels;
   for (const int t : threads) thread_labels.push_back(std::to_string(t) + "t");
 
-  metrics::RunConfig base;
+  metrics::RunConfig base = cli.run_config();
   base.cpus = 8;
   base.sockets = 2;
   base.deadline = 2000_s;
-  bench::apply_metrics(cli, &base);
-  bench::apply_sched(cli, &base);
 
   exp::Sweep sweep("user_spinning");
   sweep.base(base)
@@ -60,23 +56,16 @@ int main(int argc, char** argv) {
             })
       .axis("threads", thread_labels);
 
-  exp::ExperimentRunner runner(sweep, cli.runner_options());
-  if (cli.list) {
-    runner.list(std::cout);
-    return 0;
-  }
+  bench::Harness h(cli, spec);
+  if (h.listed({&sweep})) return 0;
 
   bench::print_header("Figure 14", "user-customized spinning (exec ms)");
-  const exp::Outcomes out = runner.run(
-      [&](const exp::Cell& cell, const metrics::RunConfig& cfg) {
+  const exp::Outcomes& out = h.run(
+      sweep, [&](const exp::Cell& cell, const metrics::RunConfig& cfg) {
         if (kCfgs[cell.at(1)].na) return exp::CellRun::na();
-        const auto& bspec = workloads::find_benchmark(names[cell.at(0)]);
-        metrics::RunConfig rc = cfg;
-        rc.ref_footprint = bspec.ref_footprint();
-        return exp::CellRun(metrics::run_experiment(rc, [&](kern::Kernel& k) {
-          workloads::spawn_benchmark(k, bspec, threads[cell.at(2)], cli.seed,
-                                     cli.scale);
-        }));
+        return exp::CellRun(bench::run_suite_cell(
+            workloads::find_benchmark(names[cell.at(0)]), threads[cell.at(2)],
+            cfg, cli));
       });
 
   for (std::size_t bi = 0; bi < names.size(); ++bi) {
@@ -97,9 +86,5 @@ int main(int argc, char** argv) {
     table.print();
   }
 
-  exp::ResultDoc doc(spec.id, cli.scale, cli.seed);
-  doc.add_sweep(sweep, out);
-  bool ok = bench::write_results(cli, doc);
-  ok = bench::check_sweep_metrics(out, cli) && ok;
-  return ok ? 0 : 1;
+  return h.finish();
 }

@@ -6,8 +6,6 @@
 // Expected: the spin-then-park locks still collapse (they spin away slices
 // and park through the vanilla futex); SHFLLOCK is no better (bulk wakeups,
 // NUMA-preferential wakes); the kernel-side fix wins by up to ~5x.
-#include <iostream>
-
 #include "bench_util.h"
 #include "locks/blocking_locks.h"
 #include "runtime/sim_thread.h"
@@ -76,12 +74,10 @@ int main(int argc, char** argv) {
   std::vector<std::string> cfg_labels;
   for (const auto& c : kCfgs) cfg_labels.emplace_back(c.label);
 
-  metrics::RunConfig base;
+  metrics::RunConfig base = cli.run_config();
   base.cpus = 8;
   base.sockets = 2;
   base.deadline = 2000_s;
-  bench::apply_metrics(cli, &base);
-  bench::apply_sched(cli, &base);
 
   exp::Sweep sweep("shfllock");
   sweep.base(base)
@@ -92,18 +88,15 @@ int main(int argc, char** argv) {
                                                 : core::Features::vanilla();
             });
 
-  exp::ExperimentRunner runner(sweep, cli.runner_options());
-  if (cli.list) {
-    runner.list(std::cout);
-    return 0;
-  }
+  bench::Harness h(cli, spec);
+  if (h.listed({&sweep})) return 0;
 
   bench::print_header(
       "Figure 15",
       "SHFLLOCK / spin-then-park locks vs our approach, 32T on 8 cores "
       "(normalized to optimized)");
-  const exp::Outcomes out = runner.run(
-      [&](const exp::Cell& cell, const metrics::RunConfig& cfg) {
+  const exp::Outcomes& out = h.run(
+      sweep, [&](const exp::Cell& cell, const metrics::RunConfig& cfg) {
         const auto& bspec = workloads::find_benchmark(names[cell.at(0)]);
         const Cfg& c = kCfgs[cell.at(1)];
         metrics::RunConfig rc = cfg;
@@ -131,9 +124,5 @@ int main(int argc, char** argv) {
   }
   table.print();
 
-  exp::ResultDoc doc(spec.id, cli.scale, cli.seed);
-  doc.add_sweep(sweep, out);
-  bool ok = bench::write_results(cli, doc);
-  ok = bench::check_sweep_metrics(out, cli) && ok;
-  return ok ? 0 : 1;
+  return h.finish();
 }

@@ -6,8 +6,6 @@
 // and stay watchdog-clean under --metrics. Expected: cfs and pcfs behave
 // near-identically (the predictive bias only breaks vruntime ties); fifo and
 // rr finish the run but with visibly worse balance under oversubscription.
-#include <iostream>
-
 #include "bench_util.h"
 #include "sched/policy.h"
 #include "workloads/suite.h"
@@ -30,12 +28,10 @@ int main(int argc, char** argv) {
   const std::vector<std::string> feature_labels = {"32T(van-8c)",
                                                    "32T(opt-8c)"};
 
-  metrics::RunConfig base;
+  metrics::RunConfig base = cli.run_config();
   base.cpus = 8;
   base.sockets = 2;
   base.deadline = 600_s;
-  bench::apply_metrics(cli, &base);
-  bench::apply_sched(cli, &base);
 
   exp::Sweep sweep("policy_zoo");
   sweep.base(base)
@@ -50,22 +46,15 @@ int main(int argc, char** argv) {
                                     : core::Features::vanilla();
             });
 
-  exp::ExperimentRunner runner(sweep, cli.runner_options());
-  if (cli.list) {
-    runner.list(std::cout);
-    return 0;
-  }
+  bench::Harness h(cli, spec);
+  if (h.listed({&sweep})) return 0;
 
   bench::print_header("Policy zoo",
                       "blocking benchmarks under every scheduler policy");
-  const exp::Outcomes out = runner.run(
-      [&](const exp::Cell& cell, const metrics::RunConfig& cfg) {
-        const auto& bspec = workloads::find_benchmark(names[cell.at(0)]);
-        metrics::RunConfig rc = cfg;
-        rc.ref_footprint = bspec.ref_footprint();
-        return metrics::run_experiment(rc, [&](kern::Kernel& k) {
-          workloads::spawn_benchmark(k, bspec, 32, cli.seed, cli.scale);
-        });
+  const exp::Outcomes& out = h.run(
+      sweep, [&](const exp::Cell& cell, const metrics::RunConfig& cfg) {
+        return bench::run_suite_cell(
+            workloads::find_benchmark(names[cell.at(0)]), 32, cfg, cli);
       });
 
   for (std::size_t bi = 0; bi < names.size(); ++bi) {
@@ -75,10 +64,11 @@ int main(int argc, char** argv) {
       const auto& van = out.at({bi, pi, 0});
       const auto& opt = out.at({bi, pi, 1});
       std::vector<std::string> row = {policies[pi]};
-      row.push_back(van.ran() ? bench::ms(van.run.exec_time) : "-");
-      row.push_back(opt.ran() ? bench::ms(opt.run.exec_time) : "-");
-      row.push_back(van.ran() && opt.ran() ? bench::ratio(opt.ms() / van.ms())
-                                           : "-");
+      row.push_back(van.ran() ? metrics::TablePrinter::num(van.ms(), 1) : "-");
+      row.push_back(opt.ran() ? metrics::TablePrinter::num(opt.ms(), 1) : "-");
+      row.push_back(van.ran() && opt.ran()
+                        ? metrics::TablePrinter::num(opt.ms() / van.ms())
+                        : "-");
       table.add_row(row);
     }
     table.print();
@@ -86,9 +76,5 @@ int main(int argc, char** argv) {
   std::printf("(exec time in ms; opt/van < 1 means VB+BWD helped under that "
               "policy)\n");
 
-  exp::ResultDoc doc(spec.id, cli.scale, cli.seed);
-  doc.add_sweep(sweep, out);
-  bool ok = bench::write_results(cli, doc);
-  ok = bench::check_sweep_metrics(out, cli) && ok;
-  return ok ? 0 : 1;
+  return h.finish();
 }

@@ -13,7 +13,6 @@
 // `scale` multiplies fleet size (hosts x connections); 1.0 is the
 // million-connection configuration (32 hosts x 32768 connections).
 #include <cmath>
-#include <iostream>
 
 #include "bench_util.h"
 #include "traffic/fleet.h"
@@ -141,11 +140,9 @@ int main(int argc, char** argv) {
   std::vector<std::string> load_labels;
   for (const auto& l : kLoads) load_labels.emplace_back(l.label);
 
-  metrics::RunConfig base;
+  metrics::RunConfig base = cli.run_config();
   base.cpus = 8;
   base.sockets = 1;
-  bench::apply_metrics(cli, &base);
-  bench::apply_sched(cli, &base);
 
   exp::Sweep sweep("serve_openloop");
   sweep.base(base)
@@ -157,26 +154,20 @@ int main(int argc, char** argv) {
             })
       .axis("load", load_labels);
 
-  // One sink shared by the runner (cell events) and every fleet (host
-  // events), so the feed is a single interleaved stream.
-  std::shared_ptr<obs::ProgressSink> sink = cli.progress_sink();
-  exp::RunnerOptions ropts = cli.runner_options();
-  ropts.sink = sink;
-  exp::ExperimentRunner runner(sweep, ropts);
-  if (cli.list) {
-    runner.list(std::cout);
-    return 0;
-  }
+  bench::Harness h(cli, spec);
+  if (h.listed({&sweep})) return 0;
 
   bench::print_header("serve_openloop",
                       "open-loop serving: offered load vs p99/p999");
   const std::size_t n_cells =
       arrival_labels.size() * cfg_labels.size() * load_labels.size();
   std::vector<std::shared_ptr<obs::FleetMetricsDoc>> fleet_docs(n_cells);
-  const exp::Outcomes out = runner.run(
-      [&](const exp::Cell& cell, const metrics::RunConfig& cfg) {
+  // The fleets feed the runner's sink (host events between its cell
+  // events), so the progress feed is a single interleaved stream.
+  const exp::Outcomes& out = h.run(
+      sweep, [&](const exp::Cell& cell, const metrics::RunConfig& cfg) {
         return run_one(cell, kArrivals[cell.at(0)], kLoads[cell.at(2)].frac,
-                       cfg, cli.seed, cli.scale, cli.jobs, sink.get(),
+                       cfg, cli.seed, cli.scale, cli.jobs, h.progress(),
                        cli.metrics ? &fleet_docs : nullptr);
       });
 
@@ -258,12 +249,8 @@ int main(int argc, char** argv) {
     }
   }
 
-  exp::ResultDoc doc(spec.id, cli.scale, cli.seed);
-  doc.add_sweep(sweep, out);
-  bool ok = bench::write_results(cli, doc);
   // The folded state flamegraph (the representative host of the first ran
   // cell) keeps the bench name as its root frame.
-  ok = bench::check_sweep_metrics(out, cli, "serve_openloop") && ok;
-  ok = bench::check_fleet_metrics(fleet_docs, out, cli) && ok;
-  return ok ? 0 : 1;
+  const int code = h.finish("serve_openloop");
+  return bench::check_fleet_metrics(fleet_docs, out, cli) ? code : 1;
 }

@@ -8,7 +8,6 @@
 // therefore reported in the document's `meta` block.
 #include <chrono>
 #include <fstream>
-#include <iostream>
 #include <sstream>
 
 #include "bench_util.h"
@@ -296,17 +295,14 @@ int main(int argc, char** argv) {
   exp::Sweep sweep("simcore");
   sweep.axis("microbench", names);
 
-  exp::ExperimentRunner runner(sweep, cli.runner_options());
-  if (cli.list) {
-    runner.list(std::cout);
-    return 0;
-  }
+  bench::Harness h(cli, spec);
+  if (h.listed({&sweep})) return 0;
 
   bench::print_header("simcore", "simulator-core microbenchmarks");
   // Host ns/item per microbench, collected outside the cells (volatile).
   std::vector<double> host_ns_per_item(kMicros.size(), 0.0);
-  const exp::Outcomes out = runner.run(
-      [&](const exp::Cell& cell, const metrics::RunConfig&) {
+  const exp::Outcomes& out = h.run(
+      sweep, [&](const exp::Cell& cell, const metrics::RunConfig&) {
         const Micro& m = kMicros[cell.at(0)];
         MicroResult last{};
         const auto t0 = std::chrono::steady_clock::now();
@@ -345,8 +341,7 @@ int main(int argc, char** argv) {
   }
   t.print();
 
-  exp::ResultDoc doc(spec.id, cli.scale, cli.seed);
-  doc.add_sweep(sweep, out);
+  exp::ResultDoc& doc = h.doc();
   // Host timings are machine-dependent: meta only, never in the cells.
   for (std::size_t i = 0; i < kMicros.size(); ++i) {
     if (out.at({i}).ran()) {
@@ -410,5 +405,6 @@ int main(int argc, char** argv) {
       doc.add_history(std::move(e));
     }
   }
-  return bench::write_results(cli, doc) && gate_ok ? 0 : 1;
+  const int code = h.finish();
+  return gate_ok ? code : 1;
 }

@@ -5,8 +5,6 @@
 // magnitude more migrations; VB restores utilization and nearly eliminates
 // migrations (sometimes below the 8T baseline, since parked threads are
 // never balanced).
-#include <iostream>
-
 #include "bench_util.h"
 #include "workloads/suite.h"
 
@@ -27,12 +25,10 @@ int main(int argc, char** argv) {
   const std::vector<Cfg> cfgs = {{8, false}, {32, false}, {32, true}};
   const std::vector<std::string> cfg_labels = {"8T", "32T", "Opt"};
 
-  metrics::RunConfig base;
+  metrics::RunConfig base = cli.run_config();
   base.cpus = 8;
   base.sockets = 2;
   base.deadline = 600_s;
-  bench::apply_metrics(cli, &base);
-  bench::apply_sched(cli, &base);
 
   exp::Sweep sweep("runtime_stats");
   sweep.base(base)
@@ -43,22 +39,15 @@ int main(int argc, char** argv) {
                                                : core::Features::vanilla();
             });
 
-  exp::ExperimentRunner runner(sweep, cli.runner_options());
-  if (cli.list) {
-    runner.list(std::cout);
-    return 0;
-  }
+  bench::Harness h(cli, spec);
+  if (h.listed({&sweep})) return 0;
 
   bench::print_header("Table 1", "CPU utilization and migrations");
-  const exp::Outcomes out = runner.run(
-      [&](const exp::Cell& cell, const metrics::RunConfig& cfg) {
-        const auto& bspec = workloads::find_benchmark(names[cell.at(0)]);
-        metrics::RunConfig rc = cfg;
-        rc.ref_footprint = bspec.ref_footprint();
-        return metrics::run_experiment(rc, [&](kern::Kernel& k) {
-          workloads::spawn_benchmark(k, bspec, cfgs[cell.at(1)].threads,
-                                     cli.seed, cli.scale);
-        });
+  const exp::Outcomes& out = h.run(
+      sweep, [&](const exp::Cell& cell, const metrics::RunConfig& cfg) {
+        return bench::run_suite_cell(
+            workloads::find_benchmark(names[cell.at(0)]),
+            cfgs[cell.at(1)].threads, cfg, cli);
       });
 
   metrics::TablePrinter t({"App", "util 8T", "util 32T", "util Opt",
@@ -85,9 +74,5 @@ int main(int argc, char** argv) {
   }
   t.print();
 
-  exp::ResultDoc doc(spec.id, cli.scale, cli.seed);
-  doc.add_sweep(sweep, out);
-  bool ok = bench::write_results(cli, doc);
-  ok = bench::check_sweep_metrics(out, cli) && ok;
-  return ok ? 0 : 1;
+  return h.finish();
 }

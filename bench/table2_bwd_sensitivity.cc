@@ -4,8 +4,6 @@
 // spinning is a "try"; sensitivity = detected / tries. Expected ~99.8%+ for
 // all ten algorithms (the residual misses are windows where the spun-on
 // cacheline was invalidated and recounted as an L1 miss).
-#include <iostream>
-
 #include "bench_util.h"
 #include "workloads/microbench.h"
 
@@ -23,26 +21,21 @@ int main(int argc, char** argv) {
   std::vector<std::string> kind_labels;
   for (const auto k : kinds) kind_labels.emplace_back(locks::to_string(k));
 
-  metrics::RunConfig base;
+  metrics::RunConfig base = cli.run_config();
   base.cpus = 1;
   base.sockets = 1;
   base.features = core::Features::optimized();
   base.deadline = hold + 5_s;
-  bench::apply_metrics(cli, &base);
-  bench::apply_sched(cli, &base);
 
   exp::Sweep sweep("bwd_sensitivity");
   sweep.base(base).axis("spinlock", kind_labels);
 
-  exp::ExperimentRunner runner(sweep, cli.runner_options());
-  if (cli.list) {
-    runner.list(std::cout);
-    return 0;
-  }
+  bench::Harness h(cli, spec);
+  if (h.listed({&sweep})) return 0;
 
   bench::print_header("Table 2", "BWD sensitivity on 10 spinlocks");
-  const exp::Outcomes out = runner.run(
-      [&](const exp::Cell& cell, const metrics::RunConfig& cfg) {
+  const exp::Outcomes& out = h.run(
+      sweep, [&](const exp::Cell& cell, const metrics::RunConfig& cfg) {
         exp::CellRun r(metrics::run_experiment(cfg, [&](kern::Kernel& k) {
           auto lock = std::shared_ptr<locks::SpinLock>(
               locks::make_spinlock(kinds[cell.at(0)], k, 2));
@@ -70,9 +63,5 @@ int main(int argc, char** argv) {
   }
   t.print();
 
-  exp::ResultDoc doc(spec.id, cli.scale, cli.seed);
-  doc.add_sweep(sweep, out);
-  bool ok = bench::write_results(cli, doc);
-  ok = bench::check_sweep_metrics(out, cli) && ok;
-  return ok ? 0 : 1;
+  return h.finish();
 }

@@ -3,8 +3,6 @@
 // detection is a false positive (the benchmarks' rare tight register loops
 // are the only trigger). Also reports the FP-induced overhead (exec time
 // with BWD vs without) — expected under ~1% — and the timer overhead.
-#include <iostream>
-
 #include "bench_util.h"
 #include "workloads/suite.h"
 
@@ -20,12 +18,10 @@ int main(int argc, char** argv) {
   const std::vector<std::string> names = {"is", "ep", "cg", "mg",
                                           "ft", "sp", "bt", "ua"};
 
-  metrics::RunConfig base;
+  metrics::RunConfig base = cli.run_config();
   base.cpus = 8;
   base.sockets = 2;
   base.deadline = 600_s;
-  bench::apply_metrics(cli, &base);
-  bench::apply_sched(cli, &base);
 
   exp::Sweep sweep("bwd_specificity");
   sweep.base(base)
@@ -37,21 +33,14 @@ int main(int argc, char** argv) {
               rc.features = f;
             });
 
-  exp::ExperimentRunner runner(sweep, cli.runner_options());
-  if (cli.list) {
-    runner.list(std::cout);
-    return 0;
-  }
+  bench::Harness h(cli, spec);
+  if (h.listed({&sweep})) return 0;
 
   bench::print_header("Table 3", "BWD specificity on blocking NPB benchmarks");
-  exp::Outcomes out = runner.run(
-      [&](const exp::Cell& cell, const metrics::RunConfig& cfg) {
-        const auto& bspec = workloads::find_benchmark(names[cell.at(0)]);
-        metrics::RunConfig rc = cfg;
-        rc.ref_footprint = bspec.ref_footprint();
-        return metrics::run_experiment(rc, [&](kern::Kernel& k) {
-          workloads::spawn_benchmark(k, bspec, 32, cli.seed, cli.scale);
-        });
+  exp::Outcomes& out = h.run(
+      sweep, [&](const exp::Cell& cell, const metrics::RunConfig& cfg) {
+        return bench::run_suite_cell(
+            workloads::find_benchmark(names[cell.at(0)]), 32, cfg, cli);
       });
 
   metrics::TablePrinter t({"App", "# of Tries", "# of FPs", "Specificity(%)",
@@ -76,9 +65,5 @@ int main(int argc, char** argv) {
   }
   t.print();
 
-  exp::ResultDoc doc(spec.id, cli.scale, cli.seed);
-  doc.add_sweep(sweep, out);
-  bool ok = bench::write_results(cli, doc);
-  ok = bench::check_sweep_metrics(out, cli) && ok;
-  return ok ? 0 : 1;
+  return h.finish();
 }

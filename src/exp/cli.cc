@@ -47,18 +47,20 @@ std::string policy_list() {
 
 }  // namespace
 
-std::shared_ptr<obs::ProgressSink> Cli::progress_sink() const {
-  return obs::make_progress_sink(progress);
+metrics::RunConfig Cli::run_config() const {
+  metrics::RunConfig rc;
+  rc.sched = sched;
+  rc.metrics.enabled = metrics;
+  rc.metrics.interval = static_cast<SimDuration>(metrics_interval_us) * 1_us;
+  rc.taskstats = taskstats;
+  return rc;
 }
 
 RunnerOptions Cli::runner_options() const {
   RunnerOptions o;
   o.jobs = jobs;
   o.filter = filter;
-  o.progress = progress != "none";
-  // "line" keeps the runner's own stderr lines (byte-identical to the line
-  // sink's cell events); only the structured mode needs a sink here.
-  if (progress == "jsonl") o.sink = progress_sink();
+  o.sink = obs::make_progress_sink(progress);
   return o;
 }
 

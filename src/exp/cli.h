@@ -75,14 +75,13 @@ class Cli {
 
   bool tracing() const { return !trace_path.empty(); }
 
-  /// The sink for `--progress` ("none" returns null). Each call builds a
-  /// fresh sink; benches that feed both the runner and a fleet should call
-  /// once and share it.
-  std::shared_ptr<obs::ProgressSink> progress_sink() const;
+  /// The config every cell of the bench starts from: a default RunConfig
+  /// with --sched, the --metrics* sampler and --taskstats applied.
+  metrics::RunConfig run_config() const;
 
-  /// Runner options carrying jobs/filter plus the progress configuration:
-  /// "line" keeps the runner's own stderr lines, "jsonl" attaches a JSONL
-  /// sink, "none" silences the feed.
+  /// Runner options carrying jobs/filter and the one sink for `--progress`
+  /// (null for "none"). Each call builds a fresh sink; a bench that feeds
+  /// both the runner and a fleet shares the options' sink with the fleet.
   RunnerOptions runner_options() const;
 
   /// Usage text for the spec (the --help / error output).

@@ -256,10 +256,14 @@ void Kernel::register_metrics() {
   hooks.balance_attempts = r.counter("sched.balance.attempts");
   hooks.balance_pulls = r.counter("sched.balance.pulls");
   policy_->attach(hooks);
-  futex_.set_metrics(r.counter("futex.bucket_locks"),
-                     r.counter("futex.bucket_locks_contended"));
-  epolls_.set_metrics(r.counter("epoll.instance_locks"),
-                      r.counter("epoll.instance_locks_contended"));
+  // One registration per statement, so the order never depends on argument
+  // evaluation order; documents list each `_contended` counter first.
+  const obs::Counter futex_contended =
+      r.counter("futex.bucket_locks_contended");
+  futex_.set_metrics(r.counter("futex.bucket_locks"), futex_contended);
+  const obs::Counter epoll_contended =
+      r.counter("epoll.instance_locks_contended");
+  epolls_.set_metrics(r.counter("epoll.instance_locks"), epoll_contended);
   // Aliases of SchedStats cells (the kernel parks on every VB choice and
   // fires the BWD timer for every evaluated window), in their export order.
   r.register_counter("vb.chose_vb", &stats_.vb_parks);

@@ -39,7 +39,7 @@ void LineProgressSink::emit(const ProgressEvent& ev) {
                    ev.watchdog_violations ? " WATCHDOG" : "");
       break;
     case ProgressEvent::Kind::kCellFinish:
-      // Byte-compatible with the pre-sink ExperimentRunner stderr feed.
+      // The per-cell progress line of every bench.
       if (ev.not_applicable) {
         std::fprintf(out_, "[%zu/%zu] %s: n/a\n", ev.done, ev.total,
                      ev.label.c_str());

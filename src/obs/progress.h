@@ -7,10 +7,10 @@
 // the watchdog verdict) and `exp::ExperimentRunner` (cell started/finished)
 // — emit into while the run is still going. Two emitters ship:
 //
-//  * `LineProgressSink`  — human-oriented stderr lines. Cell-finish lines
-//    keep the runner's historical `[n/m] id: ok exec=..ms` format; host
-//    events print one terse line per finished host. Start/fraction events
-//    are dropped to keep the feed readable.
+//  * `LineProgressSink`  — human-oriented stderr lines (the default
+//    `--progress=line` feed). Cell-finish lines read `[n/m] id: ok
+//    exec=..ms`; host events print one terse line per finished host.
+//    Start/fraction events are dropped to keep the feed readable.
 //  * `JsonlProgressSink` — one JSON object per line for machine consumption
 //    (dashboards, sweep babysitters): every event kind is emitted, flushed
 //    per line so a tail-reader sees it live.

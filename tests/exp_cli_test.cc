@@ -200,6 +200,33 @@ TEST(CliTest, RunnerOptionsCarryJobsAndFilter) {
   EXPECT_EQ(o.filter, "lu");
 }
 
+TEST(CliTest, RunnerOptionsCarryTheProgressSink) {
+  Cli cli;
+  std::string err;
+  ASSERT_TRUE(try_parse({}, plain_spec(), &cli, &err)) << err;
+  EXPECT_NE(cli.runner_options().sink, nullptr);  // --progress=line default
+  ASSERT_TRUE(try_parse({"--progress=none"}, plain_spec(), &cli, &err)) << err;
+  EXPECT_EQ(cli.runner_options().sink, nullptr);
+}
+
+TEST(CliTest, RunConfigCarriesSchedMetricsAndTaskstats) {
+  Cli cli;
+  std::string err;
+  ASSERT_TRUE(try_parse({}, plain_spec(), &cli, &err)) << err;
+  const metrics::RunConfig plain = cli.run_config();
+  EXPECT_EQ(plain.sched, "cfs");
+  EXPECT_FALSE(plain.metrics.enabled);
+  EXPECT_FALSE(plain.taskstats);
+  ASSERT_TRUE(try_parse({"--sched=fifo", "--taskstats", "--metrics-interval=250"},
+                        plain_spec(), &cli, &err))
+      << err;
+  const metrics::RunConfig rc = cli.run_config();
+  EXPECT_EQ(rc.sched, "fifo");
+  EXPECT_TRUE(rc.metrics.enabled);
+  EXPECT_EQ(rc.metrics.interval, 250_us);
+  EXPECT_TRUE(rc.taskstats);
+}
+
 TEST(CliTest, UsageMentionsTraceFlagsOnlyWhenSupported) {
   const std::string plain = Cli::usage(plain_spec());
   const std::string traced = Cli::usage(trace_spec());

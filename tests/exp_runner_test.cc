@@ -4,7 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <memory>
+#include <mutex>
 #include <sstream>
+#include <vector>
 
 #include "exp/runner.h"
 #include "exp/sweep.h"
@@ -23,7 +26,6 @@ using exp::Sweep;
 RunnerOptions quiet(std::size_t jobs = 1) {
   RunnerOptions o;
   o.jobs = jobs;
-  o.progress = false;
   return o;
 }
 
@@ -168,6 +170,37 @@ TEST(RunnerTest, ListPrintsFilteredCellIds) {
   std::ostringstream os;
   ExperimentRunner(small_grid(), o).list(os);
   EXPECT_EQ(os.str(), "a0/b2\na1/b2\n");
+}
+
+// Records the `done` count of every cell-finish event in arrival order.
+class DoneRecorder : public obs::ProgressSink {
+ public:
+  void emit(const obs::ProgressEvent& ev) override {
+    if (ev.kind != obs::ProgressEvent::Kind::kCellFinish) return;
+    std::lock_guard<std::mutex> lk(mu_);
+    done.push_back(ev.done);
+  }
+  std::vector<std::size_t> done;
+
+ private:
+  std::mutex mu_;
+};
+
+TEST(RunnerTest, CellFinishEventsCountUpInOrderAtAnyJobs) {
+  Sweep s("wide");
+  std::vector<std::string> labels;
+  for (int i = 0; i < 32; ++i) labels.push_back("c" + std::to_string(i));
+  s.axis("cell", labels);
+  RunnerOptions o = quiet(4);
+  auto rec = std::make_shared<DoneRecorder>();
+  o.sink = rec;
+  ExperimentRunner(s, o).run([](const Cell& cell, const metrics::RunConfig&) {
+    return synthetic(cell);
+  });
+  ASSERT_EQ(rec->done.size(), labels.size());
+  for (std::size_t i = 0; i < rec->done.size(); ++i) {
+    EXPECT_EQ(rec->done[i], i + 1);
+  }
 }
 
 }  // namespace

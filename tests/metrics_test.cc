@@ -1,42 +1,14 @@
-// Tests for the metrics layer: latency recorder, table printer, and the
-// experiment harness.
+// Tests for the metrics layer: table printer and the experiment harness.
 #include <gtest/gtest.h>
 
 #include <sstream>
 
 #include "metrics/experiment.h"
-#include "metrics/latency_recorder.h"
 #include "metrics/table_printer.h"
 #include "runtime/sim_thread.h"
 
 namespace eo::metrics {
 namespace {
-
-TEST(LatencyRecorder, BasicStats) {
-  LatencyRecorder r;
-  for (int i = 1; i <= 100; ++i) r.record(i * 1000);  // 1..100 us
-  EXPECT_EQ(r.count(), 100u);
-  EXPECT_NEAR(r.mean_us(), 50.5, 1.0);
-  EXPECT_NEAR(r.p50_us(), 50.0, 3.0);
-  EXPECT_NEAR(r.p99_us(), 99.0, 4.0);
-  EXPECT_NEAR(r.max_us(), 100.0, 4.0);
-}
-
-TEST(LatencyRecorder, Throughput) {
-  LatencyRecorder r;
-  for (int i = 0; i < 500; ++i) r.record(10_us);
-  EXPECT_DOUBLE_EQ(r.throughput(1_s), 500.0);
-  EXPECT_DOUBLE_EQ(r.throughput(500_ms), 1000.0);
-  EXPECT_DOUBLE_EQ(r.throughput(0), 0.0);
-}
-
-TEST(LatencyRecorder, ClearResets) {
-  LatencyRecorder r;
-  r.record(5_us);
-  r.clear();
-  EXPECT_EQ(r.count(), 0u);
-  EXPECT_EQ(r.p99_us(), 0.0);
-}
 
 TEST(TablePrinter, AlignedOutput) {
   std::ostringstream os;
@@ -51,37 +23,6 @@ TEST(TablePrinter, AlignedOutput) {
   // Every line in an aligned table has the same column start for "value".
   const auto h = out.find("value");
   ASSERT_NE(h, std::string::npos);
-}
-
-TEST(TablePrinter, CsvOutput) {
-  std::ostringstream os;
-  TablePrinter t({"x", "y"}, os);
-  t.add_row({"1", "2"});
-  t.print_csv();
-  EXPECT_EQ(os.str(), "x,y\n1,2\n");
-}
-
-TEST(TablePrinter, CsvEscapesPerRfc4180) {
-  // Cells with a comma, quote, or newline get quoted (with embedded quotes
-  // doubled); plain cells stay unquoted.
-  std::ostringstream os;
-  TablePrinter t({"name", "note"}, os);
-  t.add_row({"a,b", "plain"});
-  t.add_row({"say \"hi\"", "line1\nline2"});
-  t.print_csv();
-  EXPECT_EQ(os.str(),
-            "name,note\n"
-            "\"a,b\",plain\n"
-            "\"say \"\"hi\"\"\",\"line1\nline2\"\n");
-}
-
-TEST(LatencyRecorder, P999Us) {
-  LatencyRecorder r;
-  for (int i = 0; i < 999; ++i) r.record(10_us);
-  r.record(1000_us);
-  r.record(1000_us);
-  EXPECT_NEAR(r.p99_us(), 10.0, 1.0);
-  EXPECT_NEAR(r.p999_us(), 1000.0, 1000.0 * 0.04);
 }
 
 TEST(TablePrinter, NumberFormatting) {

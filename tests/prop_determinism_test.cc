@@ -75,7 +75,7 @@ TEST(Determinism, MemcachedRunsReproduce) {
     client.start();
     k.run_until(150_ms);
     const auto done = server.completed();
-    const auto p99 = server.latencies().p99_us();
+    const auto p99 = to_us(server.latencies().p99());
     server.stop();
     k.run_to_exit(k.now() + 1_s);
     return std::make_pair(done, p99);
@@ -134,7 +134,6 @@ TEST(Determinism, SameSeedSweepRendersByteIdenticalJson) {
                           });
     exp::RunnerOptions opts;
     opts.jobs = jobs;
-    opts.progress = false;
     const exp::Outcomes out =
         exp::ExperimentRunner(sweep, opts)
             .run([&](const exp::Cell&, const metrics::RunConfig& cfg) {
