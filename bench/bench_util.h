@@ -26,7 +26,7 @@
 //   exp::Outcomes& out = h.run(sweep, [&](const exp::Cell& c,
 //                                         const metrics::RunConfig& cfg) {...});
 //   ... tables, derived values set on `out` ...
-//   return h.finish();  // --json document + telemetry check of every sweep
+//   return h.finish();  // --json document + telemetry check of all sweeps
 //
 // `--trace` benches call `h.traced(...)` between `listed` and the first
 // `run`; suite-benchmark cells run through `run_suite_cell`.
@@ -186,26 +186,36 @@ inline bool export_and_check_metrics(const obs::MetricsDoc& m,
   return true;
 }
 
-/// Sweep-level telemetry check: every ran cell must report zero watchdog
-/// violations, and one representative cell's document is exported per the
-/// --metrics* flags. With --taskstats=<path>, the same cell's folded-stack
-/// state flamegraph is exported too, rooted at `folded_root` (the cell id
-/// when empty). Returns true when --metrics is off or all cells pass.
-inline bool check_sweep_metrics(const exp::Outcomes& out, const Cli& cli,
+/// One run sweep and its outcomes, as Harness::run keeps them.
+struct SweepRun {
+  exp::Sweep sweep;
+  exp::Outcomes out;
+};
+
+/// Bench-level telemetry check over every sweep: every ran cell must report
+/// zero watchdog violations, and one representative cell (the first ran
+/// cell, sweeps in run order) is exported per the --metrics* flags. With
+/// --taskstats=<path>, the same cell's folded-stack state flamegraph is
+/// exported too, rooted at `folded_root` (the cell id when empty). Returns
+/// true when --metrics is off or all cells pass.
+inline bool check_sweep_metrics(const std::deque<SweepRun>& runs,
+                                const Cli& cli,
                                 const std::string& folded_root = "") {
   if (!cli.metrics) return true;
   const exp::CellOutcome* rep = nullptr;
   bool ok = true;
-  for (const auto& o : out) {
-    if (!o.ran() || !o.run.metrics) continue;
-    if (!rep) rep = &o;
-    const obs::MetricsDoc& m = *o.run.metrics;
-    if (m.watchdog_violations != 0) {
-      std::fprintf(stderr,
-                   "metrics: cell '%s': %llu watchdog violation(s)\n",
-                   o.cell.id().c_str(),
-                   static_cast<unsigned long long>(m.watchdog_violations));
-      ok = false;
+  for (const SweepRun& r : runs) {
+    for (const auto& o : r.out) {
+      if (!o.ran() || !o.run.metrics) continue;
+      if (!rep) rep = &o;
+      const obs::MetricsDoc& m = *o.run.metrics;
+      if (m.watchdog_violations != 0) {
+        std::fprintf(stderr,
+                     "metrics: cell '%s': %llu watchdog violation(s)\n",
+                     o.cell.id().c_str(),
+                     static_cast<unsigned long long>(m.watchdog_violations));
+        ok = false;
+      }
     }
   }
   if (!rep) {
@@ -360,8 +370,8 @@ class Harness {
   exp::ResultDoc& doc() { return doc_; }
 
   /// Writes the document of every run sweep when --json was given, then
-  /// runs the sweep telemetry check on each (check_sweep_metrics, folded
-  /// roots per `folded_root`). Returns the bench's exit code.
+  /// runs the telemetry check over all of them once (check_sweep_metrics,
+  /// folded root per `folded_root`). Returns the bench's exit code.
   int finish(const std::string& folded_root = "") {
     bool ok = true;
     for (const SweepRun& r : runs_) doc_.add_sweep(r.sweep, r.out);
@@ -375,18 +385,11 @@ class Harness {
         ok = false;
       }
     }
-    for (const SweepRun& r : runs_) {
-      ok = check_sweep_metrics(r.out, cli_, folded_root) && ok;
-    }
+    ok = check_sweep_metrics(runs_, cli_, folded_root) && ok;
     return ok ? 0 : 1;
   }
 
  private:
-  struct SweepRun {
-    exp::Sweep sweep;
-    exp::Outcomes out;
-  };
-
   const Cli& cli_;
   exp::RunnerOptions opts_;
   exp::ResultDoc doc_;

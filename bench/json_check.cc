@@ -1,9 +1,11 @@
 // json_check <file>... — validates machine-readable bench documents. The
-// schema is dispatched on the document's own "schema" field:
+// document's own "schema" field picks its table (a `json::Shape`) from one
+// registry; a schema it does not name fails:
 //
 //   "eo-bench-result"   result grids (src/exp/result.h)
 //   "eo-metrics"        live-telemetry exports (src/obs/export.h)
 //   "eo-metrics-fleet"  merged fleet telemetry (src/obs/fleet_agg.h)
+//   "eo-taskstats"      per-task delay accounting (src/obs/taskstats.h)
 //
 // Beyond structure, any recorded watchdog violation fails the check — in
 // eo-metrics documents (watchdog.violations) and in result-grid cells that
@@ -30,15 +32,11 @@ namespace {
 
 /// Fails result grids whose cells embed an obs summary with violations.
 bool check_cell_watchdogs(const eo::json::Value& root, std::string* err) {
-  const eo::json::Value* sweeps = root.get("sweeps");
-  if (!sweeps) return true;
-  for (const auto& s : sweeps->items) {
-    const eo::json::Value* cells = s.get("cells");
-    if (!cells) continue;
-    for (const auto& cell : cells->items) {
+  for (const auto& s : root.get("sweeps")->items) {
+    for (const auto& cell : s.get("cells")->items) {
       const eo::json::Value* obs = cell.get("obs");
-      if (!obs) continue;
-      const eo::json::Value* v = obs->get("watchdog_violations");
+      const eo::json::Value* v =
+          obs ? obs->get("watchdog_violations") : nullptr;
       if (v && v->num != 0) {
         *err = "cell reports " +
                std::to_string(static_cast<long long>(v->num)) +
@@ -50,34 +48,39 @@ bool check_cell_watchdogs(const eo::json::Value& root, std::string* err) {
   return true;
 }
 
+/// The registry: every document json_check knows, by its table's schema.
+const eo::json::Shape* shape_for(const std::string& schema) {
+  for (const eo::json::Shape* s :
+       {&eo::exp::result_shape(), &eo::obs::metrics_shape(),
+        &eo::obs::fleet_metrics_shape(), &eo::obs::taskstats_shape()}) {
+    if (schema == s->schema) return s;
+  }
+  return nullptr;
+}
+
 bool check_file(const std::string& text, std::string* err) {
   eo::json::Value root;
   if (!eo::json::parse(text, &root, err)) return false;
-  const eo::json::Value* schema =
-      root.is_object() ? root.get("schema") : nullptr;
+  const eo::json::Value* schema = root.get("schema");
   if (!schema || !schema->is_string()) {
     *err = "document has no string 'schema' field";
     return false;
   }
-  if (schema->str == eo::obs::kMetricsSchemaName ||
-      schema->str == eo::obs::kFleetMetricsSchemaName) {
-    const bool fleet = schema->str == eo::obs::kFleetMetricsSchemaName;
-    if (fleet) {
-      if (!eo::obs::validate_fleet_metrics_json(text, err)) return false;
-    } else {
-      if (!eo::obs::validate_metrics_json(text, err)) return false;
-    }
-    const eo::json::Value* wd = root.get("watchdog");
-    const eo::json::Value* v = wd ? wd->get("violations") : nullptr;
-    if (v && v->num != 0) {
-      *err = "watchdog recorded " +
-             std::to_string(static_cast<long long>(v->num)) + " violation(s)";
-      return false;
-    }
-    return true;
+  const eo::json::Shape* shape = shape_for(schema->str);
+  if (shape == nullptr) {
+    *err = "unknown schema '" + schema->str + "'";
+    return false;
   }
-  if (!eo::exp::validate_result_json(text, err)) return false;
-  return check_cell_watchdogs(root, err);
+  if (!eo::json::check(root, *shape, err)) return false;
+  if (shape == &eo::exp::result_shape()) return check_cell_watchdogs(root, err);
+  const eo::json::Value* wd = root.get("watchdog");
+  const eo::json::Value* v = wd ? wd->get("violations") : nullptr;
+  if (v && v->num != 0) {
+    *err = "watchdog recorded " +
+           std::to_string(static_cast<long long>(v->num)) + " violation(s)";
+    return false;
+  }
+  return true;
 }
 
 /// Value-level equality with a path-annotated reason on mismatch.

@@ -1,5 +1,6 @@
 #include "common/json.h"
 
+#include <algorithm>
 #include <cctype>
 #include <charconv>
 #include <cmath>
@@ -51,26 +52,109 @@ bool fail(std::string* err, const std::string& msg) {
   return false;
 }
 
-bool require_number(const Value& obj, const char* key, std::string* err) {
-  const Value* v = obj.get(key);
-  if (!v || !v->is_number()) {
-    return fail(err, std::string("missing numeric field '") + key + "'");
-  }
-  return true;
+bool non_empty(const Value& v, std::string* why) {
+  return v.str.size() + v.items.size() > 0 || fail(why, "must not be empty");
 }
 
-bool require_schema(const Value& doc, const char* name, int version,
-                    std::string* err, const std::string& prefix) {
-  const Value* schema = doc.get("schema");
-  if (!schema || !schema->is_string() || schema->str != name) {
-    return fail(err, prefix + "'schema' is not \"" + name + "\"");
+bool positive(const Value& v, std::string* why) {
+  return v.num > 0 || fail(why, "must be positive");
+}
+
+bool non_negative(const Value& v, std::string* why) {
+  return v.num >= 0 || fail(why, "must be non-negative");
+}
+
+Shape array_of(Shape each, Rule rule) {
+  Shape s(Value::kArray, rule);
+  s.each = std::make_shared<const Shape>(std::move(each));
+  return s;
+}
+
+Shape object(std::vector<Member> members, Rule rule) {
+  Shape s(Value::kObject, rule);
+  s.members = std::move(members);
+  return s;
+}
+
+Shape map_of(Shape each, std::vector<Member> members) {
+  Shape s = object(std::move(members));
+  s.each = std::make_shared<const Shape>(std::move(each));
+  return s;
+}
+
+Shape document(const char* schema, int version, std::vector<Member> members,
+               Rule rule) {
+  Shape s = object(std::move(members), rule);
+  s.schema = schema;
+  s.version = version;
+  return s;
+}
+
+namespace {
+
+const char* const kTypeNames[] = {"null",   "bool",  "number",
+                                  "string", "array", "object"};
+
+/// A failure reads ": <reason>" at the failing value; each level of the
+/// unwinding walk prepends its member key or "[i]", so a passing document
+/// builds no path.
+bool fail_in(std::string* err, const std::string& segment) {
+  if ((*err)[0] != '[' && (*err)[0] != ':') err->insert(0, 1, '.');
+  err->insert(0, segment);
+  return false;
+}
+
+bool walk(const Value& v, const Shape& s, std::string* err) {
+  if (v.type != s.type) {
+    return fail(err, std::string(": expected ") + kTypeNames[s.type] +
+                         ", got " + kTypeNames[v.type]);
   }
-  const Value* v = doc.get("schema_version");
-  if (!v || !v->is_number() || v->num != version) {
-    return fail(err,
-                prefix + "'schema_version' is not " + std::to_string(version));
+  if (s.schema != nullptr) {  // a mistyped member reads "" or 0: no match
+    const Value* name = v.get("schema");
+    const Value* version = v.get("schema_version");
+    if (!name || name->str != s.schema) {
+      return fail(err, std::string(": 'schema' is not \"") + s.schema + "\"");
+    }
+    if (!version || version->num != s.version) {
+      return fail(err, ": 'schema_version' is not " + std::to_string(s.version));
+    }
   }
-  return true;
+  for (const Member& m : s.members) {
+    const Value* mv = v.get(m.key);
+    if (mv == nullptr && !m.optional) {
+      return fail(err, std::string(": missing ") + kTypeNames[m.shape.type] +
+                           " '" + m.key + "'");
+    }
+    if (mv != nullptr && !walk(*mv, m.shape, err)) return fail_in(err, m.key);
+  }
+  for (std::size_t i = 0; s.each && i < v.items.size(); ++i) {
+    if (!walk(v.items[i], *s.each, err)) {
+      return fail_in(err, "[" + std::to_string(i) + "]");
+    }
+  }
+  for (std::size_t i = 0; s.each && i < v.fields.size(); ++i) {
+    const auto& [key, mv] = v.fields[i];
+    if (std::none_of(s.members.begin(), s.members.end(),
+                     [&](const Member& m) { return m.key == key; }) &&
+        !walk(mv, *s.each, err)) {
+      return fail_in(err, key);
+    }
+  }
+  return s.rule == nullptr || s.rule(v, err) || fail(err, ": " + *err);
+}
+
+}  // namespace
+
+bool check(const Value& v, const Shape& shape, std::string* err) {
+  std::string why;
+  return walk(v, shape, &why) ||
+         fail(err, why.rfind(": ", 0) == 0 ? why.substr(2) : why);
+}
+
+bool check_text(const std::string& text, const Shape& shape,
+                std::string* err) {
+  Value root;
+  return parse(text, &root, err) && check(root, shape, err);
 }
 
 bool write_file(const std::string& path, const std::string& text,

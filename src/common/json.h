@@ -2,10 +2,13 @@
 // validators.
 //
 //  * `Value` + `parse` — a full-grammar recursive-descent parser producing a
-//    small DOM, which every structural validator walks, so an emitted file is
-//    known well-formed before a human or a plotting script ever opens it.
-//  * `fail` / `require_number` / `require_schema` — the checks every
-//    validator shares, so all report a missing field or schema alike.
+//    small DOM, so an emitted file is known well-formed before a human or a
+//    plotting script ever opens it.
+//  * `Shape` + `check` — one declarative table per document (its members
+//    and their types, array elements, the schema header, and a few named
+//    rules on values), kept next to the document's writer, and the one
+//    walker that checks a parsed document against it. Every validator is a
+//    `check_text` call on its table.
 //  * `Writer` — a streaming serializer with comma/nesting bookkeeping and
 //    deterministic number formatting (shortest round-trip via to_chars), so
 //    identical inputs render byte-identical documents; `write_file` is the
@@ -13,6 +16,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <ostream>
 #include <string>
 #include <utility>
@@ -36,7 +40,6 @@ struct Value {
   bool is_number() const { return type == kNumber; }
   bool is_object() const { return type == kObject; }
   bool is_array() const { return type == kArray; }
-  bool is_bool() const { return type == kBool; }
 };
 
 /// Deepest array/object nesting `parse` accepts. The parser recurses once per
@@ -51,17 +54,63 @@ bool parse(const std::string& text, Value* out, std::string* err);
 /// Escapes a string for embedding inside a JSON string literal (no quotes).
 std::string escape(const std::string& s);
 
-// Validator helpers. Each fails by setting `*err` (when non-null) and
-// returning false, so a validator can `return fail(err, "...")`.
+/// Sets `*err` (when non-null) to `msg` and returns false, so a check can
+/// `return fail(err, "...")`.
 [[nodiscard]] bool fail(std::string* err, const std::string& msg);
-/// Fails with "missing numeric field '<key>'" unless `obj[key]` is a number.
-[[nodiscard]] bool require_number(const Value& obj, const char* key,
-                                  std::string* err);
-/// Fails unless `doc` carries `"schema": name` and `"schema_version":
-/// version`; messages start with `prefix` (an embedded section's name).
-[[nodiscard]] bool require_schema(const Value& doc, const char* name,
-                                  int version, std::string* err,
-                                  const std::string& prefix = "");
+
+// --- Shapes: one table per document, walked by `check` ---------------------
+
+struct Member;
+/// A named check on a value beyond its type (a bound, a count, an order, a
+/// sum), run once the value's shape holds; fails by returning false with
+/// `*why` set.
+using Rule = bool (*)(const Value& v, std::string* why);
+bool non_empty(const Value& v, std::string* why);  ///< strings and arrays
+bool positive(const Value& v, std::string* why);
+bool non_negative(const Value& v, std::string* why);
+
+/// What `check` expects of one value: its type, an object's members, an
+/// array's elements, and a rule run last.
+struct Shape {
+  Shape(Value::Type t = Value::kNull,  // NOLINT(google-explicit-constructor)
+        Rule r = nullptr)
+      : type(t), rule(r) {}
+  Value::Type type;
+  Rule rule;
+  std::vector<Member> members;  ///< objects; unlisted members go unchecked
+  std::shared_ptr<const Shape> each;  ///< elements, or unlisted members
+  const char* schema = nullptr;  ///< roots: "schema" and "schema_version"
+  int version = 0;
+};
+
+/// An object member; a bare key is a required number, as most members are.
+struct Member {
+  Member(const char* k)  // NOLINT(google-explicit-constructor)
+      : key(k), shape(Value::kNumber) {}
+  Member(const char* k, Shape s, bool opt = false)
+      : key(k), shape(std::move(s)), optional(opt) {}
+  std::string key;
+  Shape shape;
+  bool optional = false;
+};
+inline constexpr bool kOptional = true;
+
+inline Shape boolean() { return {Value::kBool}; }
+inline Shape number(Rule rule = nullptr) { return {Value::kNumber, rule}; }
+inline Shape text(Rule rule = nullptr) { return {Value::kString, rule}; }
+Shape array_of(Shape each, Rule rule = nullptr);
+Shape object(std::vector<Member> members, Rule rule = nullptr);
+/// An object whose members beyond `members` all match `each`.
+Shape map_of(Shape each, std::vector<Member> members = {});
+Shape document(const char* schema, int version, std::vector<Member> members,
+               Rule rule = nullptr);
+
+/// Checks `v` against `shape`. A failure names the value by its path:
+/// "sweeps[0].cells[3]: missing number 'exec_ms'" (built only on failure).
+[[nodiscard]] bool check(const Value& v, const Shape& shape, std::string* err);
+/// Parses `text`, then checks it.
+[[nodiscard]] bool check_text(const std::string& text, const Shape& shape,
+                              std::string* err);
 
 /// A whole-document check, e.g. `obs::validate_metrics_json`.
 using TextValidator = bool (*)(const std::string& text, std::string* err);

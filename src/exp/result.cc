@@ -1,5 +1,6 @@
 #include "exp/result.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <sstream>
 
@@ -7,9 +8,6 @@
 #include "common/logging.h"
 
 namespace eo::exp {
-
-using json::fail;
-using json::require_number;
 
 namespace {
 
@@ -180,201 +178,107 @@ bool ResultDoc::write(const std::string& path, std::string* err) const {
 
 namespace {
 
-bool validate_cell(const json::Value& cell, std::size_t n_axes,
-                   const std::vector<std::vector<std::string>>& axis_values,
-                   std::string* err) {
-  if (!cell.is_object()) return fail(err, "cell is not an object");
-  const json::Value* coords = cell.get("coords");
-  if (!coords || !coords->is_array() || coords->items.size() != n_axes) {
-    return fail(err, "cell coords missing or wrong arity");
+/// A sweep holds one cell per grid point: the product of the axis sizes,
+/// each with one coord per axis, drawn from that axis's values.
+bool cells_match_axes(const json::Value& sweep, std::string* why) {
+  const auto& axes = sweep.get("axes")->items;
+  const auto& cells = sweep.get("cells")->items;
+  std::size_t product = 1;
+  for (const auto& ax : axes) product *= ax.get("values")->items.size();
+  if (cells.size() != product) {
+    return json::fail(why, std::to_string(cells.size()) +
+                               " cells, expected " + std::to_string(product));
   }
-  for (std::size_t a = 0; a < n_axes; ++a) {
-    const json::Value& c = coords->items[a];
-    if (!c.is_string()) return fail(err, "cell coord is not a string");
-    bool member = false;
-    for (const auto& v : axis_values[a]) member = member || v == c.str;
-    if (!member) {
-      return fail(err, "cell coord '" + c.str + "' not in axis values");
+  for (const auto& cell : cells) {
+    const auto& coords = cell.get("coords")->items;
+    if (coords.size() != axes.size()) {
+      return json::fail(why, "cell coords of wrong arity");
     }
-  }
-  const json::Value* skipped = cell.get("skipped");
-  if (skipped) {
-    if (!skipped->is_bool()) return fail(err, "'skipped' is not a bool");
-    return true;
-  }
-  const json::Value* na = cell.get("na");
-  if (na) {
-    if (!na->is_bool()) return fail(err, "'na' is not a bool");
-    return true;
-  }
-  const json::Value* completed = cell.get("completed");
-  if (!completed || !completed->is_bool()) {
-    return fail(err, "cell missing bool field 'completed'");
-  }
-  for (const char* key :
-       {"attempts", "deadline_ms", "exec_ms", "utilization_percent",
-        "spin_busy_ms", "context_switches", "migrations_in_node",
-        "migrations_cross_node", "vb_parks", "wakeup_p50_ns", "wakeup_p95_ns",
-        "wakeup_p99_ns", "wakeup_count"}) {
-    if (!require_number(cell, key, err)) return false;
-  }
-  const json::Value* bwd = cell.get("bwd");
-  if (!bwd || !bwd->is_object()) {
-    return fail(err, "cell missing object field 'bwd'");
-  }
-  for (const char* key : {"windows", "tp", "fp", "fn", "tn"}) {
-    if (!require_number(*bwd, key, err)) return false;
-  }
-  const json::Value* obs = cell.get("obs");
-  if (obs) {
-    if (!obs->is_object()) return fail(err, "'obs' is not an object");
-    for (const char* key : {"samples", "dropped_samples", "watchdog_checks",
-                            "watchdog_violations"}) {
-      if (!require_number(*obs, key, err)) return false;
-    }
-  }
-  const json::Value* extra = cell.get("extra");
-  if (extra) {
-    if (!extra->is_object()) return fail(err, "'extra' is not an object");
-    for (const auto& [k, v] : extra->fields) {
-      if (!v.is_number()) {
-        return fail(err, "extra field '" + k + "' is not a number");
+    for (std::size_t a = 0; a < axes.size(); ++a) {
+      const auto& values = axes[a].get("values")->items;
+      if (std::none_of(values.begin(), values.end(), [&](const auto& v) {
+            return v.str == coords[a].str;
+          })) {
+        return json::fail(why, "cell coord '" + coords[a].str +
+                                   "' not in axis values");
       }
     }
   }
   return true;
 }
 
-bool validate_sweep(const json::Value& sweep, std::string* err) {
-  if (!sweep.is_object()) return fail(err, "sweep is not an object");
-  const json::Value* name = sweep.get("name");
-  if (!name || !name->is_string() || name->str.empty()) {
-    return fail(err, "sweep missing non-empty string 'name'");
-  }
-  const json::Value* axes = sweep.get("axes");
-  if (!axes || !axes->is_array()) {
-    return fail(err, "sweep missing array 'axes'");
-  }
-  std::vector<std::vector<std::string>> axis_values;
-  std::size_t product = 1;
-  for (const auto& ax : axes->items) {
-    if (!ax.is_object()) return fail(err, "axis is not an object");
-    const json::Value* an = ax.get("name");
-    if (!an || !an->is_string()) return fail(err, "axis missing string 'name'");
-    const json::Value* vals = ax.get("values");
-    if (!vals || !vals->is_array() || vals->items.empty()) {
-      return fail(err, "axis missing non-empty array 'values'");
-    }
-    std::vector<std::string> labels;
-    for (const auto& v : vals->items) {
-      if (!v.is_string()) return fail(err, "axis value is not a string");
-      labels.push_back(v.str);
-    }
-    product *= labels.size();
-    axis_values.push_back(std::move(labels));
-  }
-  const json::Value* cells = sweep.get("cells");
-  if (!cells || !cells->is_array()) {
-    return fail(err, "sweep missing array 'cells'");
-  }
-  if (cells->items.size() != product) {
-    return fail(err, "sweep '" + name->str + "' has " +
-                         std::to_string(cells->items.size()) +
-                         " cells, expected " + std::to_string(product));
-  }
-  for (const auto& cell : cells->items) {
-    if (!validate_cell(cell, axis_values.size(), axis_values, err)) {
-      return false;
-    }
-  }
-  return true;
+bool history_capped(const json::Value& history, std::string* why) {
+  return history.items.size() <= ResultDoc::kMaxHistory ||
+         json::fail(why, "exceeds " + std::to_string(ResultDoc::kMaxHistory) +
+                             " entries");
+}
+
+/// A cell that ran carries its results; a skipped or n/a one does not.
+bool results_unless_skipped(const json::Value& cell, std::string* why) {
+  static const json::Shape ran = json::object(
+      {{"completed", json::boolean()}, "attempts", "deadline_ms", "exec_ms",
+       "utilization_percent", "spin_busy_ms", "context_switches",
+       "migrations_in_node", "migrations_cross_node", "vb_parks",
+       "wakeup_p50_ns", "wakeup_p95_ns", "wakeup_p99_ns", "wakeup_count",
+       {"bwd", json::object({"windows", "tp", "fp", "fn", "tn"})},
+       {"obs",
+        json::object({"samples", "dropped_samples", "watchdog_checks",
+                      "watchdog_violations"}),
+        json::kOptional},
+       {"extra", json::map_of(json::number()), json::kOptional}});
+  return cell.get("skipped") || cell.get("na") || json::check(cell, ran, why);
 }
 
 }  // namespace
 
+const json::Shape& result_shape() {
+  static const json::Shape shape = [] {
+    const json::Shape history_entry = json::map_of(
+        json::number(), {{"git_rev", json::text()}, {"stamp", json::text()}});
+    const json::Shape axis = json::object(
+        {{"name", json::text()},
+         {"values", json::array_of(json::text(), json::non_empty)}});
+    const json::Shape cell = json::object(
+        {{"coords", json::array_of(json::text())},
+         {"skipped", json::boolean(), json::kOptional},
+         {"na", json::boolean(), json::kOptional}},
+        results_unless_skipped);
+    const json::Shape sweep = json::object(
+        {{"name", json::text(json::non_empty)},
+         {"axes", json::array_of(axis)},
+         {"cells", json::array_of(cell)}},
+        cells_match_axes);
+    return json::document(
+        kResultSchemaName, kResultSchemaVersion,
+        {{"bench", json::text(json::non_empty)},
+         {"scale", json::number(json::positive)},
+         "seed",
+         {"meta", json::object({{"git_rev", json::text()},
+                                {"history",
+                                 json::array_of(history_entry, history_capped),
+                                 json::kOptional}})},
+         {"sweeps", json::array_of(sweep, json::non_empty)}});
+  }();
+  return shape;
+}
+
 bool validate_result_json(const std::string& text, std::string* err) {
-  json::Value root;
-  if (!json::parse(text, &root, err)) return false;
-  if (!root.is_object()) return fail(err, "document root is not an object");
-  if (!json::require_schema(root, kResultSchemaName, kResultSchemaVersion,
-                            err)) {
-    return false;
-  }
-  const json::Value* bench = root.get("bench");
-  if (!bench || !bench->is_string() || bench->str.empty()) {
-    return fail(err, "'bench' missing or empty");
-  }
-  const json::Value* scale = root.get("scale");
-  if (!scale || !scale->is_number() || !(scale->num > 0)) {
-    return fail(err, "'scale' missing or not > 0");
-  }
-  if (!require_number(root, "seed", err)) return false;
-  const json::Value* meta = root.get("meta");
-  if (!meta || !meta->is_object()) {
-    return fail(err, "'meta' missing or not an object");
-  }
-  const json::Value* rev = meta->get("git_rev");
-  if (!rev || !rev->is_string()) {
-    return fail(err, "meta missing string 'git_rev'");
-  }
-  const json::Value* history = meta->get("history");
-  if (history) {
-    if (!history->is_array()) {
-      return fail(err, "meta 'history' is not an array");
-    }
-    if (history->items.size() > ResultDoc::kMaxHistory) {
-      return fail(err, "meta 'history' exceeds " +
-                           std::to_string(ResultDoc::kMaxHistory) +
-                           " entries");
-    }
-    for (const auto& h : history->items) {
-      if (!h.is_object()) return fail(err, "history entry is not an object");
-      for (const char* key : {"git_rev", "stamp"}) {
-        const json::Value* s = h.get(key);
-        if (!s || !s->is_string()) {
-          return fail(err,
-                      std::string("history entry missing string '") + key +
-                          "'");
-        }
-      }
-      for (const auto& [k, v] : h.fields) {
-        if (k == "git_rev" || k == "stamp") continue;
-        if (!v.is_number()) {
-          return fail(err, "history field '" + k + "' is not a number");
-        }
-      }
-    }
-  }
-  const json::Value* sweeps = root.get("sweeps");
-  if (!sweeps || !sweeps->is_array() || sweeps->items.empty()) {
-    return fail(err, "'sweeps' missing or empty");
-  }
-  for (const auto& s : sweeps->items) {
-    if (!validate_sweep(s, err)) return false;
-  }
-  return true;
+  return json::check_text(text, result_shape(), err);
 }
 
 std::vector<PerfHistoryEntry> parse_history(const std::string& text) {
   std::vector<PerfHistoryEntry> out;
   json::Value root;
-  std::string err;
-  if (!json::parse(text, &root, &err) || !root.is_object()) return out;
-  const json::Value* meta = root.get("meta");
-  if (!meta || !meta->is_object()) return out;
-  const json::Value* history = meta->get("history");
-  if (!history || !history->is_array()) return out;
-  for (const auto& h : history->items) {
-    if (!h.is_object()) continue;
-    const json::Value* rev = h.get("git_rev");
-    const json::Value* stamp = h.get("stamp");
-    if (!rev || !rev->is_string() || !stamp || !stamp->is_string()) continue;
-    PerfHistoryEntry e;
-    e.git_rev = rev->str;
-    e.stamp = stamp->str;
+  if (!json::parse(text, &root, nullptr) ||
+      !json::check(root, result_shape(), nullptr)) {
+    return out;
+  }
+  const json::Value* history = root.get("meta")->get("history");
+  if (history == nullptr) return out;
+  for (const json::Value& h : history->items) {
+    PerfHistoryEntry e{h.get("git_rev")->str, h.get("stamp")->str, {}};
     for (const auto& [k, v] : h.fields) {
-      if (k == "git_rev" || k == "stamp") continue;
-      if (v.is_number()) e.ns_per_item.emplace_back(k, v.num);
+      if (k != "git_rev" && k != "stamp") e.ns_per_item.emplace_back(k, v.num);
     }
     out.push_back(std::move(e));
   }

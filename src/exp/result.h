@@ -35,7 +35,10 @@
 //     ]
 //   }
 //
-// `validate_result_json` structurally checks a document against this schema
+// `result_shape()` (result.cc) is this layout as a `json::Shape` table, with
+// its value rules: the cell count is the product of the axis sizes, every
+// coord is one of its axis's values, and `meta.history` holds at most
+// kMaxHistory entries. `validate_result_json` checks a document against it
 // (the `json_check` tool and the bench_json_smoke ctest use it).
 #pragma once
 
@@ -43,6 +46,7 @@
 #include <string>
 #include <vector>
 
+#include "common/json.h"
 #include "exp/runner.h"
 #include "exp/sweep.h"
 
@@ -116,10 +120,13 @@ class ResultDoc {
 
 /// Parses `meta.history` out of a previously written result document (for
 /// benches carrying a perf trajectory across runs). Returns an empty vector
-/// when the text is not a result document or has no history.
+/// when the text is not a valid result document or has no history.
 std::vector<PerfHistoryEntry> parse_history(const std::string& text);
 
-/// Structural validation of a rendered result document.
+/// The eo-bench-result document's table (layout above).
+const json::Shape& result_shape();
+
+/// Checks a rendered result document against result_shape().
 bool validate_result_json(const std::string& text, std::string* err);
 
 /// `git rev-parse HEAD` of the working tree, or "unknown".

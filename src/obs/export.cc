@@ -11,7 +11,6 @@
 namespace eo::obs {
 
 using json::fail;
-using json::require_number;
 
 namespace {
 
@@ -247,54 +246,24 @@ void report_histograms(std::ostream& os, const char* title,
   }
 }
 
-bool validate_named_numbers(const json::Value& root, const char* key,
-                            std::initializer_list<const char*> numbers,
-                            std::string* err) {
-  const json::Value* arr = root.get(key);
-  if (!arr || !arr->is_array()) {
-    return fail(err, std::string("'") + key + "' missing or not an array");
-  }
-  for (const auto& e : arr->items) {
-    if (!e.is_object()) {
-      return fail(err, std::string(key) + " entry not an object");
-    }
-    const json::Value* name = e.get("name");
-    if (!name || !name->is_string() || name->str.empty()) {
-      return fail(err, std::string(key) + " entry missing string 'name'");
-    }
-    for (const char* n : numbers) {
-      if (!require_number(e, n, err)) return false;
-    }
-  }
-  return true;
+json::Shape named_numbers(std::initializer_list<const char*> keys) {
+  std::vector<json::Member> m(keys.begin(), keys.end());
+  m.insert(m.begin(), {"name", json::text(json::non_empty)});
+  return json::array_of(json::object(std::move(m)));
 }
 
-bool validate_histograms_json(const json::Value& root, std::string* err) {
-  return validate_named_numbers(
-      root, "histograms",
-      {"count", "min", "max", "mean", "p50", "p95", "p99", "p999"}, err);
+const json::Shape& histograms_shape() {
+  static const json::Shape shape = named_numbers(
+      {"count", "min", "max", "mean", "p50", "p95", "p99", "p999"});
+  return shape;
 }
 
-bool validate_watchdog_json(const json::Value& root, std::string* err) {
-  const json::Value* wd = root.get("watchdog");
-  if (!wd || !wd->is_object()) {
-    return fail(err, "'watchdog' missing or not an object");
-  }
-  if (!require_number(*wd, "checks", err)) return false;
-  if (!require_number(*wd, "violations", err)) return false;
-  const json::Value* records = wd->get("records");
-  if (!records || !records->is_array()) {
-    return fail(err, "watchdog missing array 'records'");
-  }
-  for (const auto& r : records->items) {
-    if (!r.is_object()) return fail(err, "watchdog record not an object");
-    if (!require_number(r, "ts_ns", err)) return false;
-    const json::Value* inv = r.get("invariant");
-    if (!inv || !inv->is_string()) {
-      return fail(err, "watchdog record missing string 'invariant'");
-    }
-  }
-  return true;
+const json::Shape& watchdog_shape() {
+  static const json::Shape shape = json::object(
+      {"checks", "violations",
+       {"records", json::array_of(json::object(
+                       {"ts_ns", {"invariant", json::text()}}))}});
+  return shape;
 }
 
 HistogramSummary summarize_histogram(const std::string& name,
@@ -336,69 +305,52 @@ bool export_to_file(const MetricsDoc& doc, const std::string& path,
                           err);
 }
 
-bool validate_metrics_json(const std::string& text, std::string* err) {
-  json::Value root;
-  if (!json::parse(text, &root, err)) return false;
-  if (!root.is_object()) return fail(err, "document root is not an object");
-  if (!json::require_schema(root, kMetricsSchemaName, kMetricsSchemaVersion,
-                            err)) {
-    return false;
-  }
-  for (const char* key : {"n_cores", "interval_ns", "ticks", "dropped_ticks"}) {
-    if (!require_number(root, key, err)) return false;
-  }
-  const int n_cores = static_cast<int>(root.get("n_cores")->num);
-  if (n_cores <= 0) return fail(err, "'n_cores' must be positive");
-  if (!validate_named_numbers(root, "counters", {"value"}, err) ||
-      !validate_named_numbers(root, "gauges", {"value"}, err) ||
-      !validate_histograms_json(root, err)) {
-    return false;
-  }
+namespace {
 
-  const json::Value* series = root.get("series");
-  if (!series || !series->is_object()) {
-    return fail(err, "'series' missing or not an object");
+/// One core series per core, each with one sample per retained tick.
+bool cores_match(const json::Value& doc, std::string* why) {
+  const json::Value& series = *doc.get("series");
+  const auto& cores = series.get("cores")->items;
+  if (static_cast<double>(cores.size()) != doc.get("n_cores")->num) {
+    return fail(why, "series 'cores' does not hold n_cores entries");
   }
-  const json::Value* ticks = series->get("ticks");
-  if (!ticks || !ticks->is_array()) {
-    return fail(err, "series missing array 'ticks'");
-  }
-  for (const auto& t : ticks->items) {
-    if (!t.is_object()) return fail(err, "tick entry not an object");
-    for (const char* key : {"ts_ns", "live_tasks", "online_cores",
-                            "d_context_switches", "d_wakeups",
-                            "d_migrations"}) {
-      if (!require_number(t, key, err)) return false;
+  for (const auto& c : cores) {
+    if (c.get("samples")->items.size() != series.get("ticks")->items.size()) {
+      return fail(why, "core samples misaligned with ticks");
     }
   }
-  const json::Value* cores = series->get("cores");
-  if (!cores || !cores->is_array() ||
-      cores->items.size() != static_cast<std::size_t>(n_cores)) {
-    return fail(err, "series 'cores' missing or not n_cores entries");
-  }
-  for (const auto& c : cores->items) {
-    if (!c.is_object()) return fail(err, "core series entry not an object");
-    if (!require_number(c, "core", err)) return false;
-    const json::Value* samples = c.get("samples");
-    if (!samples || !samples->is_array() ||
-        samples->items.size() != ticks->items.size()) {
-      return fail(err, "core samples missing or misaligned with ticks");
-    }
-    for (const auto& s : samples->items) {
-      if (!s.is_object()) return fail(err, "core sample not an object");
-      for (const char* key : {"rq", "sched", "vb", "skip", "run", "on"}) {
-        if (!require_number(s, key, err)) return false;
-      }
-    }
-  }
-
-  if (!validate_watchdog_json(root, err)) return false;
-
-  // Optional embedded `eo-taskstats` section (present when the run asked for
-  // per-task delay accounting export).
-  const json::Value* ts = root.get("taskstats");
-  if (ts != nullptr && !validate_taskstats_value(*ts, err)) return false;
   return true;
+}
+
+}  // namespace
+
+const json::Shape& metrics_shape() {
+  static const json::Shape shape = [] {
+    const json::Shape tick = json::object(
+        {"ts_ns", "live_tasks", "online_cores", "d_context_switches",
+         "d_wakeups", "d_migrations"});
+    const json::Shape sample =
+        json::object({"rq", "sched", "vb", "skip", "run", "on"});
+    const json::Shape core =
+        json::object({"core", {"samples", json::array_of(sample)}});
+    return json::document(
+        kMetricsSchemaName, kMetricsSchemaVersion,
+        {{"n_cores", json::number(json::positive)},
+         "interval_ns", "ticks", "dropped_ticks",
+         {"counters", named_numbers({"value"})},
+         {"gauges", named_numbers({"value"})},
+         {"histograms", histograms_shape()},
+         {"series", json::object({{"ticks", json::array_of(tick)},
+                                  {"cores", json::array_of(core)}})},
+         {"watchdog", watchdog_shape()},
+         {"taskstats", taskstats_shape(), json::kOptional}},
+        cores_match);
+  }();
+  return shape;
+}
+
+bool validate_metrics_json(const std::string& text, std::string* err) {
+  return json::check_text(text, metrics_shape(), err);
 }
 
 }  // namespace eo::obs

@@ -3,10 +3,12 @@
 // A finished run snapshots into a `MetricsDoc` — registry values, the
 // retained time series, and the watchdog verdict — which renders to:
 //
-//  * "json"   — the `eo-metrics` document (schema below), validated by
-//               `validate_metrics_json` / the `json_check` tool. Contains
-//               only simulation-derived values, so same-seed runs render
-//               byte-identical documents.
+//  * "json"   — the `eo-metrics` document. Its table is `metrics_shape()`
+//               (export.cc): the members and their types, with one core
+//               series per core (`n_cores`) and one sample per tick in each;
+//               `validate_metrics_json` / the `json_check` tool check it.
+//               Contains only simulation-derived values, so same-seed runs
+//               render byte-identical documents.
 //  * "csv"    — one row per (sample, core) plus one global row per sample,
 //               for plotting scripts.
 //  * "report" — a schedstat/sim-top-style text summary (per-core averages,
@@ -81,7 +83,10 @@ std::string render(const MetricsDoc& doc, const std::string& format);
 bool export_to_file(const MetricsDoc& doc, const std::string& path,
                     const std::string& format, std::string* err);
 
-/// Structural validation of an `eo-metrics` JSON document.
+/// The `eo-metrics` document's table.
+const json::Shape& metrics_shape();
+
+/// Checks an `eo-metrics` JSON document against metrics_shape().
 bool validate_metrics_json(const std::string& text, std::string* err);
 
 // --- sections shared with the eo-metrics-fleet document --------------------
@@ -107,12 +112,10 @@ void report_counters(std::ostream& os, const char* title,
 void report_histograms(std::ostream& os, const char* title,
                        const std::vector<HistogramSummary>& hs);
 
-/// Checks that `root[key]` is an array of objects, each with a non-empty
-/// string "name" and a number under every key in `numbers`.
-bool validate_named_numbers(const json::Value& root, const char* key,
-                            std::initializer_list<const char*> numbers,
-                            std::string* err);
-bool validate_histograms_json(const json::Value& root, std::string* err);
-bool validate_watchdog_json(const json::Value& root, std::string* err);
+/// An array of objects, each with a non-empty string "name" and a number
+/// under every key in `keys` (counters, gauges, histograms).
+json::Shape named_numbers(std::initializer_list<const char*> keys);
+const json::Shape& histograms_shape();
+const json::Shape& watchdog_shape();
 
 }  // namespace eo::obs

@@ -10,7 +10,6 @@
 namespace eo::obs {
 
 using json::fail;
-using json::require_number;
 
 namespace {
 
@@ -289,54 +288,58 @@ bool export_fleet_to_file(const FleetMetricsDoc& doc, const std::string& path,
       format == "json" ? validate_fleet_metrics_json : nullptr, err);
 }
 
-bool validate_fleet_metrics_json(const std::string& text, std::string* err) {
-  json::Value root;
-  if (!json::parse(text, &root, err)) return false;
-  if (!root.is_object()) return fail(err, "document root is not an object");
-  if (!json::require_schema(root, kFleetMetricsSchemaName,
-                            kFleetMetricsSchemaVersion, err)) {
-    return false;
-  }
-  for (const char* key :
-       {"n_hosts", "n_cores", "interval_ns", "ticks", "dropped_ticks"}) {
-    if (!require_number(root, key, err)) return false;
-  }
-  const int n_hosts = static_cast<int>(root.get("n_hosts")->num);
-  if (n_hosts <= 0) return fail(err, "'n_hosts' must be positive");
-  if (!validate_named_numbers(root, "counters", {"value"}, err) ||
-      !validate_named_numbers(root, "gauges", {"min", "mean", "max"}, err) ||
-      !validate_histograms_json(root, err)) {
-    return false;
-  }
+namespace {
 
-  const json::Value* hosts = root.get("hosts");
-  if (!hosts || !hosts->is_array() ||
-      hosts->items.size() != static_cast<std::size_t>(n_hosts)) {
-    return fail(err, "'hosts' missing or not n_hosts entries");
+/// One entry per host, in host order 0..n_hosts-1.
+bool hosts_in_order(const json::Value& doc, std::string* why) {
+  const auto& hosts = doc.get("hosts")->items;
+  if (static_cast<double>(hosts.size()) != doc.get("n_hosts")->num) {
+    return fail(why, "'hosts' does not hold n_hosts entries");
   }
-  int expect = 0;
-  for (const auto& h : hosts->items) {
-    if (!h.is_object()) return fail(err, "host entry not an object");
-    for (const char* key :
-         {"host", "issued", "completed", "shed", "p99_ns", "queue_p99_ns",
-          "service_p99_ns", "sched_delay_p99_ns", "mean_rq_depth",
-          "vb_park_rate", "bwd_skip_rate", "ticks", "watchdog_violations"}) {
-      if (!require_number(h, key, err)) return false;
-    }
-    if (static_cast<int>(h.get("host")->num) != expect) {
-      return fail(err, "host entries not sorted 0..n_hosts-1");
-    }
-    ++expect;
-  }
-
-  if (!validate_watchdog_json(root, err)) return false;
-  // The whole point of the fleet doc's records: attributability.
-  for (const auto& r : root.get("watchdog")->get("records")->items) {
-    if (r.get("invariant")->str.rfind("host=", 0) != 0) {
-      return fail(err, "fleet watchdog record invariant lacks host= prefix");
+  for (std::size_t h = 0; h < hosts.size(); ++h) {
+    if (hosts[h].get("host")->num != static_cast<double>(h)) {
+      return fail(why, "host entries not sorted 0..n_hosts-1");
     }
   }
   return true;
+}
+
+/// The whole point of the fleet doc's records: attributability.
+bool records_host_tagged(const json::Value& watchdog, std::string* why) {
+  for (const auto& r : watchdog.get("records")->items) {
+    if (r.get("invariant")->str.rfind("host=", 0) != 0) {
+      return fail(why, "fleet watchdog record invariant lacks host= prefix");
+    }
+  }
+  return true;
+}
+
+}  // namespace
+
+const json::Shape& fleet_metrics_shape() {
+  static const json::Shape shape = [] {
+    json::Shape watchdog = watchdog_shape();
+    watchdog.rule = records_host_tagged;
+    return json::document(
+        kFleetMetricsSchemaName, kFleetMetricsSchemaVersion,
+        {{"n_hosts", json::number(json::positive)},
+         "n_cores", "interval_ns", "ticks", "dropped_ticks",
+         {"counters", named_numbers({"value"})},
+         {"gauges", named_numbers({"min", "mean", "max"})},
+         {"histograms", histograms_shape()},
+         {"hosts", json::array_of(json::object(
+                       {"host", "issued", "completed", "shed", "p99_ns",
+                        "queue_p99_ns", "service_p99_ns", "sched_delay_p99_ns",
+                        "mean_rq_depth", "vb_park_rate", "bwd_skip_rate",
+                        "ticks", "watchdog_violations"}))},
+         {"watchdog", watchdog}},
+        hosts_in_order);
+  }();
+  return shape;
+}
+
+bool validate_fleet_metrics_json(const std::string& text, std::string* err) {
+  return json::check_text(text, fleet_metrics_shape(), err);
 }
 
 }  // namespace eo::obs

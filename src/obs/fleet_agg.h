@@ -153,7 +153,13 @@ std::string render_fleet(const FleetMetricsDoc& doc, const std::string& format);
 bool export_fleet_to_file(const FleetMetricsDoc& doc, const std::string& path,
                           const std::string& format, std::string* err);
 
-/// Structural validation of an `eo-metrics-fleet` JSON document.
+/// The `eo-metrics-fleet` document's table. It reuses eo-metrics' counters,
+/// histograms and watchdog tables, and adds its rules: one host entry per
+/// host (`n_hosts`), hosts sorted by index, and every watchdog record's
+/// invariant prefixed `host=`.
+const json::Shape& fleet_metrics_shape();
+
+/// Checks an `eo-metrics-fleet` JSON document against fleet_metrics_shape().
 bool validate_fleet_metrics_json(const std::string& text, std::string* err);
 
 }  // namespace eo::obs

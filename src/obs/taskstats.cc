@@ -1,13 +1,11 @@
 #include "obs/taskstats.h"
 
+#include <charconv>
 #include <sstream>
 
 #include "common/json.h"
 
 namespace eo::obs {
-
-using json::fail;
-using json::require_number;
 
 const char* to_string(TaskDelayState s) {
   switch (s) {
@@ -44,63 +42,55 @@ void write_taskstats_json(json::Writer& w, const TaskstatsDoc& doc) {
   w.end_object();
 }
 
+namespace {
+
+bool tasks_counted(const json::Value& doc, std::string* why) {
+  return static_cast<double>(doc.get("tasks")->items.size()) ==
+             doc.get("n_tasks")->num ||
+         json::fail(why, "'n_tasks' disagrees with the tasks array");
+}
+
+/// Conservation: a task's state times sum to its kernel-ground-truth
+/// lifetime exactly. Both sides are integers well under 2^53, so double
+/// equality is exact here.
+bool conserved(const json::Value& task, std::string* why) {
+  double sum = 0;
+#define EO_TDS_SUM(name, wire) sum += task.get(#wire "_ns")->num;
+  EO_TASK_DELAY_STATES(EO_TDS_SUM)
+#undef EO_TDS_SUM
+  const auto num = [](double v) {
+    char buf[32];
+    return std::string(buf, std::to_chars(buf, buf + sizeof(buf), v).ptr);
+  };
+  const double lifetime = task.get("lifetime_ns")->num;
+  return sum == lifetime ||
+         json::fail(why, "task tid=" + num(task.get("tid")->num) +
+                             " state times sum to " + num(sum) +
+                             " != lifetime_ns " + num(lifetime));
+}
+
+}  // namespace
+
+const json::Shape& taskstats_shape() {
+  static const json::Shape shape = [] {
+    const json::Shape time = json::number(json::non_negative);
+    const json::Shape task = json::object(
+        {"tid", {"name", json::text()}, {"finished", json::boolean()},
+         {"lifetime_ns", time},
+#define EO_TDS_MEMBER(name, wire) {#wire "_ns", time},
+         EO_TASK_DELAY_STATES(EO_TDS_MEMBER)
+#undef EO_TDS_MEMBER
+        },
+        conserved);
+    return json::document(kTaskstatsSchemaName, kTaskstatsSchemaVersion,
+                          {"n_tasks", {"tasks", json::array_of(task)}},
+                          tasks_counted);
+  }();
+  return shape;
+}
+
 bool validate_taskstats_value(const json::Value& v, std::string* err) {
-  if (!v.is_object()) return fail(err, "taskstats is not an object");
-  if (!json::require_schema(v, kTaskstatsSchemaName, kTaskstatsSchemaVersion,
-                            err, "taskstats ")) {
-    return false;
-  }
-  if (!require_number(v, "n_tasks", err)) return false;
-  const json::Value* n_tasks = v.get("n_tasks");
-  const json::Value* tasks = v.get("tasks");
-  if (!tasks || !tasks->is_array()) {
-    return fail(err, "taskstats missing array 'tasks'");
-  }
-  if (static_cast<double>(tasks->items.size()) != n_tasks->num) {
-    return fail(err, "taskstats 'n_tasks' disagrees with the tasks array");
-  }
-  for (const json::Value& t : tasks->items) {
-    if (!t.is_object()) return fail(err, "taskstats task is not an object");
-    if (!require_number(t, "tid", err)) return false;
-    const json::Value* tid = t.get("tid");
-    const json::Value* name = t.get("name");
-    if (!name || !name->is_string()) {
-      return fail(err, "taskstats task missing string 'name'");
-    }
-    const json::Value* finished = t.get("finished");
-    if (!finished || !finished->is_bool()) {
-      return fail(err, "taskstats task missing bool 'finished'");
-    }
-    const json::Value* lifetime = t.get("lifetime_ns");
-    if (!lifetime || !lifetime->is_number() || lifetime->num < 0) {
-      return fail(err, "taskstats task missing non-negative 'lifetime_ns'");
-    }
-    double sum = 0;
-#define EO_TDS_CHECK(name, wire)                                         \
-    {                                                                    \
-      const json::Value* f = t.get(#wire "_ns");                         \
-      if (!f || !f->is_number() || f->num < 0) {                         \
-        return fail(err, "taskstats task missing non-negative '" #wire   \
-                         "_ns'");                                        \
-      }                                                                  \
-      sum += f->num;                                                     \
-    }
-    EO_TASK_DELAY_STATES(EO_TDS_CHECK)
-#undef EO_TDS_CHECK
-    // Conservation is part of the schema: state times must sum to the
-    // kernel-ground-truth lifetime exactly. Both sides are integers well
-    // under 2^53, so double equality is exact here.
-    if (sum != lifetime->num) {
-      return fail(err, "taskstats task tid=" +
-                           std::to_string(static_cast<long long>(tid->num)) +
-                           " state times sum to " +
-                           std::to_string(static_cast<long long>(sum)) +
-                           " != lifetime_ns " +
-                           std::to_string(
-                               static_cast<long long>(lifetime->num)));
-    }
-  }
-  return true;
+  return json::check(v, taskstats_shape(), err);
 }
 
 namespace {

@@ -39,6 +39,7 @@
 namespace eo::json {
 class Writer;
 struct Value;
+struct Shape;
 }  // namespace eo::json
 
 namespace eo::obs {
@@ -209,9 +210,13 @@ struct TaskstatsDoc {
 /// `eo-metrics` document.
 void write_taskstats_json(json::Writer& w, const TaskstatsDoc& doc);
 
-/// Structural + conservation validation of a parsed `eo-taskstats` section:
-/// schema/version, `n_tasks` arity, per-record field types, and that every
-/// record's state times sum exactly to its `lifetime_ns`.
+/// The `eo-taskstats` section's table: schema/version, per-record member
+/// types, non-negative times, `n_tasks` counting the records, and
+/// conservation (every record's state times sum exactly to its
+/// `lifetime_ns`).
+const json::Shape& taskstats_shape();
+
+/// Checks a parsed `eo-taskstats` section against taskstats_shape().
 bool validate_taskstats_value(const json::Value& v, std::string* err);
 
 /// Folded-stack "state flamegraph" export: one

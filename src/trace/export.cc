@@ -125,36 +125,25 @@ bool export_to_file(const Trace& t, const std::string& path,
       format != "csv" ? validate_chrome_trace_json : nullptr, err);
 }
 
-// The JSON grammar itself is handled by the shared parser in common/json.h;
-// this function checks the Chrome trace-event envelope on the parsed DOM.
+namespace {
+
+/// Every event but metadata ("M") carries a non-negative timestamp.
+bool timed_unless_metadata(const json::Value& event, std::string* why) {
+  static const json::Shape timed =
+      json::object({{"ts", json::number(json::non_negative)}});
+  return event.get("ph")->str == "M" || json::check(event, timed, why);
+}
+
+}  // namespace
+
+// The trace-event envelope only: what the viewer needs to place each event.
 bool validate_chrome_trace_json(const std::string& text, std::string* err) {
-  json::Value root;
-  if (!json::parse(text, &root, err)) return false;
-  if (!root.is_object()) return json::fail(err, "root is not an object");
-  const json::Value* events = root.get("traceEvents");
-  if (events == nullptr || !events->is_array()) {
-    return json::fail(err, "missing traceEvents array");
-  }
-  for (std::size_t i = 0; i < events->items.size(); ++i) {
-    const json::Value& e = events->items[i];
-    const std::string at = "traceEvents[" + std::to_string(i) + "]";
-    if (!e.is_object()) return json::fail(err, at + " is not an object");
-    const json::Value* ph = e.get("ph");
-    const json::Value* name = e.get("name");
-    if (ph == nullptr || !ph->is_string() || ph->str.empty()) {
-      return json::fail(err, at + " lacks a string \"ph\"");
-    }
-    if (name == nullptr || !name->is_string()) {
-      return json::fail(err, at + " lacks a string \"name\"");
-    }
-    if (ph->str != "M") {  // metadata events carry no timestamp
-      const json::Value* ts = e.get("ts");
-      if (ts == nullptr || !ts->is_number() || ts->num < 0) {
-        return json::fail(err, at + " lacks a non-negative numeric \"ts\"");
-      }
-    }
-  }
-  return true;
+  static const json::Shape shape = json::object(
+      {{"traceEvents",
+        json::array_of(json::object({{"ph", json::text(json::non_empty)},
+                                     {"name", json::text()}},
+                                    timed_unless_metadata))}});
+  return json::check_text(text, shape, err);
 }
 
 }  // namespace eo::trace

@@ -7,10 +7,9 @@
 //  * CSV — one row per record (`ts_ns,core,kind,kind_name,tid,arg0,arg1`),
 //    for ad-hoc analysis with pandas/awk.
 //
-// `validate_chrome_trace_json` is a dependency-free structural checker used
-// by the ctest smoke tests: it fully parses the JSON text and verifies the
-// trace-event envelope, so an exported file is known loadable before a human
-// ever opens it.
+// `validate_chrome_trace_json` checks the trace-event envelope against a
+// `json::Shape` table (export.cc), so an exported file is known loadable
+// before a human ever opens it; the ctest smoke tests use it.
 #pragma once
 
 #include <iosfwd>
@@ -37,8 +36,8 @@ bool export_to_file(const Trace& t, const std::string& path,
 
 /// Structural validator for Chrome trace JSON: the text must parse as JSON,
 /// the root must be an object with a "traceEvents" array, and every element
-/// must be an object carrying string "ph" and "name" fields (plus a numeric
-/// "ts" for non-metadata phases). No external dependencies.
+/// must be an object carrying a non-empty string "ph" and a string "name"
+/// (plus a non-negative numeric "ts" for non-metadata phases).
 bool validate_chrome_trace_json(const std::string& text, std::string* err);
 
 }  // namespace eo::trace

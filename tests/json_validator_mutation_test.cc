@@ -5,27 +5,33 @@
 // case's explicit list of mutations the validator accepts (the optional or
 // unchecked members); everything else must be rejected. Array elements are
 // written `[]` in the member paths, so one entry covers every element.
+//
+// Checks on values rather than shape (axis arity, cell counts, sizes, order,
+// prefixes, signs, conservation) get one targeted corruption each in the
+// ValidatorRules table, which also pins the text the reason must carry.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <charconv>
-#include <fstream>
 #include <functional>
+#include <memory>
 #include <set>
-#include <sstream>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "common/json.h"
+#include "doc_samples.h"
 #include "exp/result.h"
-#include "metrics/experiment.h"
-#include "obs/export.h"
-#include "obs/fleet_agg.h"
-#include "runtime/sim_thread.h"
+#include "exp/runner.h"
+#include "exp/sweep.h"
 #include "trace/export.h"
 
 namespace eo {
 namespace {
+
+using test::small_run;
 
 using Validator = std::function<bool(const std::string&, std::string*)>;
 
@@ -73,6 +79,35 @@ std::string to_text(const json::Value& v) {
   std::string out;
   write_value(v, &out);
   return out;
+}
+
+/// The value at a dotted path below `v`; numeric segments index arrays.
+/// Throws std::out_of_range when the path does not exist.
+json::Value& at(json::Value& v, const std::string& path) {
+  json::Value* cur = &v;
+  for (std::size_t pos = 0; pos < path.size();) {
+    const std::size_t dot = std::min(path.find('.', pos), path.size());
+    const std::string seg = path.substr(pos, dot - pos);
+    if (cur->is_array()) {
+      cur = &cur->items.at(std::stoul(seg));
+    } else {
+      const auto it =
+          std::find_if(cur->fields.begin(), cur->fields.end(),
+                       [&](const auto& f) { return f.first == seg; });
+      if (it == cur->fields.end()) throw std::out_of_range(path);
+      cur = &it->second;
+    }
+    pos = dot + 1;
+  }
+  return *cur;
+}
+
+/// Deletes member `key` of the object at `path` below `v`.
+void erase(json::Value& v, const std::string& path, const std::string& key) {
+  auto& fields = at(v, path).fields;
+  fields.erase(std::remove_if(fields.begin(), fields.end(),
+                              [&](const auto& f) { return f.first == key; }),
+               fields.end());
 }
 
 /// A value of another JSON type: numbers become strings, everything else a
@@ -173,56 +208,6 @@ void check_verdicts(const std::string& text, const Validator& validate,
   }
 }
 
-/// One small run that yields all three kernel documents: a futex ping-pong
-/// next to a compute+yield thread on two cores, with telemetry (short
-/// sampling interval), per-task accounting and tracing on.
-const metrics::RunResult& small_run() {
-  static const metrics::RunResult r = [] {
-    metrics::RunConfig rc;
-    rc.cpus = 2;
-    rc.sockets = 1;
-    rc.features = core::Features::optimized();
-    rc.deadline = 1_s;
-    rc.metrics.enabled = true;
-    rc.metrics.interval = 50_us;
-    rc.taskstats = true;
-    rc.trace.enabled = true;
-    return metrics::run_experiment(rc, [](kern::Kernel& k) {
-      kern::SimWord* a = k.alloc_word(0);
-      kern::SimWord* b = k.alloc_word(0);
-      runtime::spawn(k, "waiter",
-                     [a, b](runtime::Env env) -> runtime::SimThread {
-                       for (int r = 0; r < 4; ++r) {
-                         co_await env.futex_wait(a, 0);
-                         co_await env.store(a, 0);
-                         co_await env.store(b, 1);
-                         co_await env.futex_wake(b, 1);
-                       }
-                       co_return;
-                     });
-      runtime::spawn(k, "waker",
-                     [a, b](runtime::Env env) -> runtime::SimThread {
-                       for (int r = 0; r < 4; ++r) {
-                         co_await env.compute(20_us);
-                         co_await env.store(a, 1);
-                         co_await env.futex_wake(a, 1);
-                         co_await env.futex_wait(b, 0);
-                         co_await env.store(b, 0);
-                       }
-                       co_return;
-                     });
-      runtime::spawn(k, "spin", [](runtime::Env env) -> runtime::SimThread {
-        for (int r = 0; r < 4; ++r) {
-          co_await env.compute(30_us);
-          co_await env.yield();
-        }
-        co_return;
-      });
-    });
-  }();
-  return r;
-}
-
 TEST(ValidatorMutation, MetricsWithTaskstats) {
   const metrics::RunResult& r = small_run();
   ASSERT_TRUE(r.completed);
@@ -238,24 +223,8 @@ TEST(ValidatorMutation, MetricsWithTaskstats) {
 }
 
 TEST(ValidatorMutation, FleetWithHostViolation) {
-  const metrics::RunResult& r = small_run();
-  ASSERT_NE(r.metrics, nullptr);
-  obs::MetricsDoc host1 = *r.metrics;
-  host1.watchdog_violations = 1;
-  host1.violation_records.push_back({/*ts=*/42, "affinity", "injected"});
-  obs::FleetAggregator agg;
-  for (int h = 0; h < 2; ++h) {
-    obs::FleetHostSample s;
-    s.host = h;
-    s.doc = h == 0 ? r.metrics.get() : &host1;
-    s.histograms.emplace_back("kern.wakeup_latency", &r.wakeup_latency);
-    s.issued = 10;
-    s.completed = 9;
-    s.shed = 1;
-    agg.add_host(s);
-  }
-  check_verdicts(obs::render_fleet(agg.finish(), "json"),
-                 obs::validate_fleet_metrics_json,
+  ASSERT_NE(small_run().metrics, nullptr);
+  check_verdicts(test::fleet_text(), obs::validate_fleet_metrics_json,
                  {
                      // A watchdog record's detail text is free-form.
                      {"watchdog.records[].detail", Mutation::kDelete},
@@ -264,12 +233,10 @@ TEST(ValidatorMutation, FleetWithHostViolation) {
 }
 
 TEST(ValidatorMutation, BenchResultGolden) {
-  std::ifstream f(EO_GOLDEN_DIR "/BENCH_fig09_vb_blocking.json");
-  ASSERT_TRUE(f.good());
-  std::stringstream ss;
-  ss << f.rdbuf();
+  const std::string golden = test::golden_text("BENCH_fig09_vb_blocking.json");
+  ASSERT_FALSE(golden.empty());
   // Every member of the golden grid is required.
-  check_verdicts(ss.str(), exp::validate_result_json, {});
+  check_verdicts(golden, exp::validate_result_json, {});
 }
 
 TEST(ValidatorMutation, ChromeTrace) {
@@ -291,6 +258,173 @@ TEST(ValidatorMutation, ChromeTrace) {
   }
   check_verdicts(trace::render(*r.trace, "json"),
                  trace::validate_chrome_trace_json, accepted);
+}
+
+/// An eo-bench-result document from the ResultDoc writer holding what the
+/// fig09 golden lacks: a ran cell with `obs` and `extra`, an n/a cell,
+/// skipped cells (the filter keeps 8T only), a free `meta` member and a
+/// `meta.history` entry.
+std::string result_doc_text() {
+  exp::Sweep s("forms");
+  s.axis("benchmark", {"hist", "scan"}).axis("threads", {"8T", "32T"});
+  exp::RunnerOptions o;
+  o.jobs = 1;
+  o.filter = "/8T";
+  const exp::Outcomes out = exp::ExperimentRunner(s, o).run(
+      [](const exp::Cell& cell, const metrics::RunConfig&) {
+        if (cell.at(0) == 1) return exp::CellRun::na();
+        exp::CellRun r;
+        r.run.completed = true;
+        r.run.metrics = std::make_shared<obs::MetricsDoc>();
+        r.set("tput_ops_s", 2.5);
+        return r;
+      });
+  exp::ResultDoc doc("forms_bench", 0.5, 3);
+  doc.set_meta("git_rev", "0123abcd");
+  doc.set_meta("host", "vm");
+  exp::PerfHistoryEntry e;
+  e.git_rev = "aaaa0001";
+  e.stamp = "2026-08-01T00:00:00Z";
+  e.ns_per_item = {{"engine_schedule_fire", 60.5}};
+  doc.add_history(e);
+  doc.add_sweep(s, out);
+  return doc.render();
+}
+
+TEST(ValidatorMutation, BenchResultEveryCellForm) {
+  const std::string text = result_doc_text();
+  ASSERT_NE(text.find("\"skipped\":true"), std::string::npos);
+  ASSERT_NE(text.find("\"na\":true"), std::string::npos);
+  ASSERT_NE(text.find("\"obs\":{"), std::string::npos);
+  check_verdicts(text, exp::validate_result_json,
+                 {
+                     // `meta` is free-form beyond git_rev and history.
+                     {"meta.host", Mutation::kDelete},
+                     {"meta.host", Mutation::kSwapType},
+                     {"meta.history", Mutation::kDelete},
+                     {"meta.history[].engine_schedule_fire", Mutation::kDelete},
+                     // A ran cell's telemetry summary and derived values
+                     // are optional; so is each derived value.
+                     {"sweeps[].cells[].obs", Mutation::kDelete},
+                     {"sweeps[].cells[].extra", Mutation::kDelete},
+                     {"sweeps[].cells[].extra.tput_ops_s", Mutation::kDelete},
+                 });
+}
+
+TEST(ValidatorRules, EveryValueRuleRejectsItsCorruption) {
+  const metrics::RunResult& r = small_run();
+  ASSERT_NE(r.metrics, nullptr);
+  ASSERT_NE(r.trace, nullptr);
+  const std::string result = result_doc_text();
+  const std::string metrics = obs::render(*r.metrics, "json");
+  const std::string fleet = test::fleet_text();
+  const std::string trace = trace::render(*r.trace, "json");
+  // The first timed trace event: the metadata ("M") events lead.
+  json::Value tv;
+  ASSERT_TRUE(json::parse(trace, &tv, nullptr));
+  std::size_t timed = 0;
+  while (at(tv, "traceEvents." + std::to_string(timed) + ".ph").str == "M") {
+    ++timed;
+  }
+  const std::string ev = "traceEvents." + std::to_string(timed);
+  const std::string ev_at = "traceEvents[" + std::to_string(timed) + "]";
+
+  using Edit = std::function<void(json::Value&)>;
+  const struct {
+    const char* rule;
+    const std::string& doc;
+    Validator validate;
+    Edit edit;
+    std::string want;  // must occur in the reason
+  } cases[] = {
+      {"coords arity", result, exp::validate_result_json,
+       [](json::Value& d) {
+         const json::Value extra = at(d, "sweeps.0.cells.0.coords.0");
+         at(d, "sweeps.0.cells.0.coords").items.push_back(extra);
+       },
+       "coords"},
+      {"coords in axis values", result, exp::validate_result_json,
+       [](json::Value& d) { at(d, "sweeps.0.cells.0.coords.0").str = "zzz"; },
+       "axis values"},
+      {"cell count is the axis product", result, exp::validate_result_json,
+       [](json::Value& d) { at(d, "sweeps.0.cells").items.pop_back(); },
+       "cells"},
+      {"history cap", result, exp::validate_result_json,
+       [](json::Value& d) {
+         auto& h = at(d, "meta.history").items;
+         const json::Value entry = h.front();
+         while (h.size() <= exp::ResultDoc::kMaxHistory) h.push_back(entry);
+       },
+       "history"},
+      {"positive scale", result, exp::validate_result_json,
+       [](json::Value& d) { at(d, "scale").num = 0; }, "scale"},
+      {"non-empty bench", result, exp::validate_result_json,
+       [](json::Value& d) { at(d, "bench").str.clear(); }, "bench"},
+      {"non-empty sweeps", result, exp::validate_result_json,
+       [](json::Value& d) { at(d, "sweeps").items.clear(); }, "sweeps"},
+      {"non-empty axis values", result, exp::validate_result_json,
+       [](json::Value& d) { at(d, "sweeps.0.axes.0.values").items.clear(); },
+       "values"},
+      {"n_cores core series", metrics, obs::validate_metrics_json,
+       [](json::Value& d) { at(d, "n_cores").num += 1; }, "n_cores"},
+      {"positive n_cores", metrics, obs::validate_metrics_json,
+       [](json::Value& d) {
+         at(d, "n_cores").num = 0;
+         at(d, "series.cores").items.clear();
+       },
+       "n_cores"},
+      {"one sample per tick", metrics, obs::validate_metrics_json,
+       [](json::Value& d) { at(d, "series.cores.1.samples").items.pop_back(); },
+       "samples"},
+      {"non-empty counter name", metrics, obs::validate_metrics_json,
+       [](json::Value& d) { at(d, "counters.0.name").str.clear(); }, "name"},
+      {"n_tasks is the task count", metrics, obs::validate_metrics_json,
+       [](json::Value& d) { at(d, "taskstats.n_tasks").num += 1; }, "n_tasks"},
+      {"non-negative lifetime_ns", metrics, obs::validate_metrics_json,
+       [](json::Value& d) { at(d, "taskstats.tasks.0.lifetime_ns").num = -1; },
+       "lifetime_ns"},
+      {"taskstats conservation", metrics, obs::validate_metrics_json,
+       [](json::Value& d) { at(d, "taskstats.tasks.0.oncpu_ns").num += 1; },
+       "tid="},
+      {"n_hosts host entries", fleet, obs::validate_fleet_metrics_json,
+       [](json::Value& d) { at(d, "n_hosts").num += 1; }, "n_hosts"},
+      {"positive n_hosts", fleet, obs::validate_fleet_metrics_json,
+       [](json::Value& d) {
+         at(d, "n_hosts").num = 0;
+         at(d, "hosts").items.clear();
+       },
+       "n_hosts"},
+      {"hosts sorted", fleet, obs::validate_fleet_metrics_json,
+       [](json::Value& d) { std::swap(at(d, "hosts.0"), at(d, "hosts.1")); },
+       "sorted"},
+      {"host= prefix", fleet, obs::validate_fleet_metrics_json,
+       [](json::Value& d) {
+         at(d, "watchdog.records.0.invariant").str = "affinity";
+       },
+       "host="},
+      {"non-negative ts", trace, trace::validate_chrome_trace_json,
+       [ev](json::Value& d) { at(d, ev + ".ts").num = -1; }, "non-negative"},
+      {"ts unless ph is M", trace, trace::validate_chrome_trace_json,
+       [ev](json::Value& d) { erase(d, ev, "ts"); }, ev_at},
+      {"non-empty ph", trace, trace::validate_chrome_trace_json,
+       [ev](json::Value& d) { at(d, ev + ".ph").str.clear(); }, "ph"},
+  };
+  for (const auto& c : cases) {
+    json::Value d;
+    ASSERT_TRUE(json::parse(c.doc, &d, nullptr)) << c.rule;
+    std::string err;
+    ASSERT_TRUE(c.validate(to_text(d), &err)) << c.rule << ": " << err;
+    c.edit(d);
+    EXPECT_FALSE(c.validate(to_text(d), &err)) << c.rule << ": accepted";
+    EXPECT_NE(err.find(c.want), std::string::npos)
+        << c.rule << ": reason '" << err << "' lacks '" << c.want << "'";
+  }
+  // A metadata event needs no timestamp.
+  json::Value d = tv;
+  at(d, ev + ".ph").str = "M";
+  erase(d, ev, "ts");
+  std::string err;
+  EXPECT_TRUE(trace::validate_chrome_trace_json(to_text(d), &err)) << err;
 }
 
 }  // namespace
