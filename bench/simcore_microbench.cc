@@ -4,10 +4,12 @@
 // regressions that would make the figure benches impractically slow.
 //
 // The JSON cells carry only deterministic simulator counters (items
-// processed, context switches); the host-side ns/op timings are volatile and
-// therefore reported in the document's `meta` block.
+// processed, context switches, the engine's heap counts); the host-side
+// ns/op timings are volatile and therefore reported in the document's `meta`
+// block.
 #include <chrono>
 #include <fstream>
+#include <optional>
 #include <sstream>
 
 #include "bench_util.h"
@@ -27,6 +29,8 @@ namespace {
 struct MicroResult {
   std::uint64_t items = 0;          // deterministic work count per rep
   std::uint64_t sim_switches = 0;   // deterministic, kernel benches only
+  /// Heap work of the rep's engine; engine and kernel_context_switches rows.
+  std::optional<sim::Engine::Counts> engine;
 };
 
 MicroResult engine_schedule_fire() {
@@ -36,7 +40,7 @@ MicroResult engine_schedule_fire() {
     e.schedule_at(i, [&sink] { ++sink; });
   }
   e.run();
-  return {static_cast<std::uint64_t>(sink), 0};
+  return {static_cast<std::uint64_t>(sink), 0, e.counts()};
 }
 
 MicroResult engine_schedule_cancel() {
@@ -51,7 +55,7 @@ MicroResult engine_schedule_cancel() {
   }
   for (std::size_t i = 0; i < ids.size(); i += 2) e.cancel(ids[i]);
   e.run();
-  return {static_cast<std::uint64_t>(ids.size()), 0};
+  return {static_cast<std::uint64_t>(ids.size()), 0, e.counts()};
 }
 
 MicroResult engine_periodic_timer() {
@@ -62,7 +66,28 @@ MicroResult engine_periodic_timer() {
   const sim::EventId id = e.schedule_periodic(1, 1, [&sink] { ++sink; });
   e.run_until(1000);
   e.cancel(id);
-  return {sink, 0};
+  return {sink, 0, e.counts()};
+}
+
+MicroResult engine_hold() {
+  // The shape of a busy kernel run: 32 events pending plus one periodic
+  // tick, and every one-shot fire arms one successor at now + a seeded
+  // delay, so each fire's pop meets its callback's push. Items = fires.
+  struct Hold {
+    sim::Engine e;
+    Rng rng{1};
+    void arm() {
+      e.schedule_after(static_cast<SimDuration>(1 + rng.next_below(1000)),
+                       [this] { arm(); });
+    }
+  } h;
+  for (int i = 0; i < 32; ++i) h.arm();
+  std::uint64_t ticks = 0;
+  const sim::EventId tick =
+      h.e.schedule_periodic(100, 100, [&ticks] { ++ticks; });
+  h.e.run_until(16'000);
+  h.e.cancel(tick);
+  return {h.e.events_fired(), 0, h.e.counts()};
 }
 
 MicroResult rbtree_insert_erase() {
@@ -85,7 +110,7 @@ MicroResult rbtree_insert_erase() {
     tree.erase(tree.leftmost());
     ++n;
   }
-  return {n, 0};
+  return {n, 0, {}};
 }
 
 MicroResult kernel_context_switches() {
@@ -102,7 +127,7 @@ MicroResult kernel_context_switches() {
     });
   }
   k.run_to_exit(10_s);
-  return {200, k.stats().context_switches};
+  return {200, k.stats().context_switches, k.engine().counts()};
 }
 
 MicroResult obs_sample_tick() {
@@ -125,7 +150,7 @@ MicroResult obs_sample_tick() {
     });
   }
   k.run_to_exit(10_s);
-  return {k.sampler().ticks(), k.stats().context_switches};
+  return {k.sampler().ticks(), k.stats().context_switches, {}};
 }
 
 MicroResult obs_fleet_merge() {
@@ -185,7 +210,7 @@ MicroResult obs_fleet_merge() {
     agg.add_host(s);
   }
   const obs::FleetMetricsDoc doc = agg.finish();
-  return {static_cast<std::uint64_t>(doc.n_hosts), 0};
+  return {static_cast<std::uint64_t>(doc.n_hosts), 0, {}};
 }
 
 MicroResult futex_round_trip() {
@@ -210,7 +235,7 @@ MicroResult futex_round_trip() {
     co_return;
   });
   k.run_to_exit(10_s);
-  return {100, k.stats().context_switches};
+  return {100, k.stats().context_switches, {}};
 }
 
 struct Micro {
@@ -222,6 +247,7 @@ const std::vector<Micro> kMicros = {
     {"engine_schedule_fire", engine_schedule_fire},
     {"engine_schedule_cancel", engine_schedule_cancel},
     {"engine_periodic_timer", engine_periodic_timer},
+    {"engine_hold", engine_hold},
     {"rbtree_insert_erase", rbtree_insert_erase},
     {"kernel_context_switches", kernel_context_switches},
     {"futex_round_trip", futex_round_trip},
@@ -324,6 +350,11 @@ int main(int argc, char** argv) {
             .set("reps", static_cast<double>(reps))
             .set("sim_context_switches",
                  static_cast<double>(last.sim_switches));
+        if (const auto& c = last.engine) {
+          res.set("engine_heap_pushes", static_cast<double>(c->pushes))
+              .set("engine_stale_pops", static_cast<double>(c->stale_pops))
+              .set("engine_peak_depth", static_cast<double>(c->peak_depth));
+        }
         return res;
       });
 

@@ -1,5 +1,6 @@
 #include "sim/engine.h"
 
+#include <algorithm>
 #include <limits>
 
 #include "common/logging.h"
@@ -30,35 +31,60 @@ void Engine::retire_slot(Slot& s, std::uint32_t idx) {
   free_head_ = idx;
 }
 
-std::uint32_t Engine::arm(SimTime when, SimDuration period, EventFn fn) {
+void Engine::place_at_root(const HeapEntry& e) {
+  // Floyd: walk the hole down along the earlier child to a leaf, then let
+  // `e` rise from there. The heap's last entry and a re-keyed periodic one
+  // usually belong near the bottom, so this costs one comparison per level
+  // where a top-down sift costs two.
+  HeapEntry* h = heap_.data();
+  const std::size_t n = heap_.size();
+  std::size_t i = 0;
+  for (std::size_t c = 1; c < n; c = 2 * i + 1) {
+    if (c + 1 < n && before(h[c + 1], h[c])) ++c;
+    h[i] = h[c];
+    i = c;
+  }
+  sift_up(i, e);
+}
+
+void Engine::sift_up(std::size_t i, const HeapEntry& e) {
+  HeapEntry* h = heap_.data();
+  while (i > 0) {
+    const std::size_t p = (i - 1) / 2;
+    if (!before(e, h[p])) break;
+    h[i] = h[p];
+    i = p;
+  }
+  h[i] = e;
+}
+
+void Engine::pop_root() {
+  const HeapEntry last = heap_.back();
+  heap_.pop_back();
+  if (!heap_.empty()) place_at_root(last);
+}
+
+EventId Engine::arm(SimTime when, SimDuration period, EventFn&& fn) {
+  EO_CHECK_GE(when, now_) << "event scheduled in the past";
+  EO_CHECK(fn) << "empty event callback";
   const std::uint32_t idx = alloc_slot();
   Slot& s = slot(idx);
   s.fn = std::move(fn);
   s.period = period;
-  heap_.push(HeapEntry{when, next_seq_++, idx, s.gen});
+  const HeapEntry e{when, next_seq_++, idx, s.gen};
+  heap_.push_back(e);
+  sift_up(heap_.size() - 1, e);
+  ++counts_.pushes;
+  counts_.peak_depth = std::max<std::uint64_t>(counts_.peak_depth,
+                                               heap_.size());
   ++live_events_;
-  return idx;
-}
-
-EventId Engine::schedule_at(SimTime when, EventFn fn) {
-  EO_CHECK_GE(when, now_) << "event scheduled in the past";
-  EO_CHECK(fn) << "empty event callback";
-  const std::uint32_t idx = arm(when, 0, std::move(fn));
-  return make_id(idx, slot(idx).gen);
-}
-
-EventId Engine::schedule_after(SimDuration delay, EventFn fn) {
-  EO_CHECK_GE(delay, 0);
-  return schedule_at(now_ + delay, std::move(fn));
+  return make_id(idx, s.gen);
 }
 
 EventId Engine::schedule_periodic(SimDuration first_delay, SimDuration period,
                                   EventFn fn) {
-  EO_CHECK_GE(first_delay, 0);
   EO_CHECK_GT(period, 0);
-  EO_CHECK(fn) << "empty event callback";
-  const std::uint32_t idx = arm(now_ + first_delay, period, std::move(fn));
-  return make_id(idx, slot(idx).gen);
+  return arm(now_ + first_delay, period, std::move(fn));
 }
 
 void Engine::cancel(EventId id) {
@@ -76,22 +102,24 @@ void Engine::cancel(EventId id) {
 bool Engine::fire_next(SimTime deadline) {
   for (;;) {
     if (heap_.empty()) return false;
-    const HeapEntry top = heap_.top();
+    const HeapEntry top = heap_.front();
     Slot* s = &slot(top.slot);
     if (s->gen != top.gen) {
-      heap_.pop();  // stale: canceled (or the slot was since recycled)
+      pop_root();  // stale: canceled (or the slot was since recycled)
+      ++counts_.stale_pops;
       continue;
     }
     if (top.when > deadline) return false;
-    heap_.pop();
     now_ = top.when;
     ++fired_;
     if (s->period > 0) {
-      // Re-arm in place: same slot, same generation, next occurrence takes
-      // its sequence number now — the exact point a self-re-arming callback
-      // would schedule it, preserving equal-timestamp insertion order.
-      heap_.push(
+      // Re-key the root in place: same slot, same generation, next
+      // occurrence takes its sequence number now — the exact point a
+      // self-re-arming callback would schedule it, preserving
+      // equal-timestamp insertion order.
+      place_at_root(
           HeapEntry{top.when + s->period, next_seq_++, top.slot, top.gen});
+      ++counts_.pushes;
       // Borrow the callback for the call: it may cancel its own id (which
       // resets the slot) or schedule events that grow the slab.
       EventFn fn = std::move(s->fn);
@@ -106,6 +134,7 @@ bool Engine::fire_next(SimTime deadline) {
       EventFn fn = std::move(s->fn);
       retire_slot(*s, top.slot);
       --live_events_;
+      pop_root();
       fn();
     }
     return true;

@@ -1,36 +1,41 @@
 // Discrete-event simulation engine.
 //
-// The engine owns the simulated clock and a min-heap of pending events. All
-// kernel activity (scheduler ticks, timer interrupts, compute completions,
-// wakeups) is expressed as events. The engine is strictly single-threaded:
-// one engine per simulated machine, and benches parallelize across engines,
-// never within one.
+// The engine owns the simulated clock and an exact min-heap of pending
+// events. All kernel activity (scheduler ticks, timer interrupts, compute
+// completions, wakeups) is expressed as events. The engine is strictly
+// single-threaded: one engine per simulated machine, and benches parallelize
+// across engines, never within one.
 //
 // Hot-path layout (see src/sim/README.md for the full story):
 //
 //  * Callbacks are `EventFn` — inline small-buffer callables, so scheduling
 //    a kernel lambda (`[this, &c]`-shaped captures) performs no heap
-//    allocation and heap sifts move 24-byte PODs, never type-erased objects.
+//    allocation. `schedule_at`/`schedule_after` are inline: the callback is
+//    built once at the call site and moved once, into its slot.
 //  * Event state lives in a slab of slots recycled through a free list;
 //    `EventId` encodes (slot index, generation), so `cancel` and the
 //    fired-check are two array accesses — no hashing, no lazy tombstone set.
 //    Stale heap entries (canceled or re-armed slots) are recognized by a
 //    generation mismatch and skipped when popped.
+//  * The heap is the engine's own binary heap of 24-byte `{when, seq, slot,
+//    gen}` PODs. Every sift from the root runs bottom-up: the vacated root
+//    walks to a leaf along the earlier child, one comparison per level, and
+//    the entry that takes its place rises from there.
 //  * Periodic events (`schedule_periodic`) re-arm in place: one slot and one
-//    callback for the lifetime of the timer, one heap push per fire.
+//    callback for the lifetime of the timer, and a fire re-keys its root
+//    with one sift instead of a pop and a push.
 //
 // Determinism: events at equal timestamps fire in insertion order (a
 // monotonically increasing sequence number breaks ties), so a run is a pure
-// function of the configuration and RNG seeds. A periodic event's next
-// occurrence takes its sequence number at fire time, immediately before the
-// callback runs — exactly where a self-re-arming callback would schedule it,
-// so the periodic path is order-identical to the pop-push pattern it
-// replaces.
+// function of the configuration and RNG seeds, whatever the heap's layout. A
+// periodic event's next occurrence takes its sequence number at fire time,
+// immediately before the callback runs — exactly where a self-re-arming
+// callback would schedule it, so the periodic path is order-identical to the
+// pop-push pattern it replaces.
 #pragma once
 
 #include <cstdint>
 #include <memory>
-#include <queue>
 #include <vector>
 
 #include "common/units.h"
@@ -56,10 +61,14 @@ class Engine {
 
   /// Schedules `fn` to run at absolute time `when` (>= now). Returns an id
   /// usable with `cancel`.
-  EventId schedule_at(SimTime when, EventFn fn);
+  EventId schedule_at(SimTime when, EventFn fn) {
+    return arm(when, 0, std::move(fn));
+  }
 
-  /// Schedules `fn` to run `delay` nanoseconds from now.
-  EventId schedule_after(SimDuration delay, EventFn fn);
+  /// Schedules `fn` to run `delay` (>= 0) nanoseconds from now.
+  EventId schedule_after(SimDuration delay, EventFn fn) {
+    return arm(now_ + delay, 0, std::move(fn));
+  }
 
   /// Schedules `fn` to run every `period` nanoseconds, first at
   /// now + first_delay, re-arming in place until canceled. The next
@@ -87,6 +96,15 @@ class Engine {
 
   /// Number of events fired since construction (each periodic fire counts).
   std::uint64_t events_fired() const { return fired_; }
+
+  /// Exact heap work since construction. Any exact queue pops in the same
+  /// order, so these are a function of the run, not of the heap's layout.
+  struct Counts {
+    std::uint64_t pushes = 0;      ///< entries armed, periodic re-arms included
+    std::uint64_t stale_pops = 0;  ///< canceled entries discarded at the head
+    std::uint64_t peak_depth = 0;  ///< most entries held, stale ones included
+  };
+  const Counts& counts() const { return counts_; }
 
   // --- slab introspection (tests and diagnostics) ---
   /// Slots ever allocated; bounded by the peak number of concurrently
@@ -120,12 +138,9 @@ class Engine {
     std::uint32_t slot;
     std::uint32_t gen;
   };
-  struct Later {
-    bool operator()(const HeapEntry& a, const HeapEntry& b) const {
-      if (a.when != b.when) return a.when > b.when;
-      return a.seq > b.seq;  // earlier insertion fires first
-    }
-  };
+  static bool before(const HeapEntry& a, const HeapEntry& b) {
+    return a.when < b.when || (a.when == b.when && a.seq < b.seq);
+  }
 
   Slot& slot(std::uint32_t i) {
     return chunks_[i >> kChunkShift][i & (kChunkSize - 1)];
@@ -139,7 +154,15 @@ class Engine {
 
   std::uint32_t alloc_slot();
   void retire_slot(Slot& s, std::uint32_t idx);
-  std::uint32_t arm(SimTime when, SimDuration period, EventFn fn);
+  /// Arms `fn` at `when` (>= now; one-shot when `period` is 0) and returns
+  /// its id. The only move of the callback is the one into its slot.
+  EventId arm(SimTime when, SimDuration period, EventFn&& fn);
+  /// Writes `e` over the root and restores heap order, bottom-up.
+  void place_at_root(const HeapEntry& e);
+  /// Moves `e`, bound for the vacant position `i`, up to its place.
+  void sift_up(std::size_t i, const HeapEntry& e);
+  /// Removes the root entry.
+  void pop_root();
   /// Fires the heap head if it is live and due by `deadline`. Returns false
   /// when the head is past the deadline or the heap is empty (stale entries
   /// are drained so the caller's emptiness/peek checks see a live event).
@@ -149,7 +172,8 @@ class Engine {
   std::uint64_t next_seq_ = 1;
   std::uint64_t fired_ = 0;
   std::uint64_t live_events_ = 0;
-  std::priority_queue<HeapEntry, std::vector<HeapEntry>, Later> heap_;
+  Counts counts_;
+  std::vector<HeapEntry> heap_;
   std::vector<std::unique_ptr<Slot[]>> chunks_;
   std::uint32_t n_slots_ = 0;
   std::uint32_t free_head_ = kNoFreeSlot;

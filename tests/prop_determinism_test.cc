@@ -55,35 +55,58 @@ INSTANTIATE_TEST_SUITE_P(Benchmarks, DeterminismTest,
                          ::testing::Values("ocean", "streamcluster", "lu",
                                            "canneal"));
 
+struct MemcachedRun {
+  std::uint64_t completed;
+  double p99_us;
+  std::uint64_t events_fired;
+  sim::Engine::Counts engine;
+};
+
+/// A fixed-seed memcached run with VB+BWD on: epoll parking, hrtimers,
+/// preemption and compute segments canceled mid-flight.
+MemcachedRun run_memcached() {
+  RunConfig rc;
+  rc.cpus = 4;
+  rc.sockets = 1;
+  rc.features = core::Features::optimized();
+  auto kc = metrics::make_kernel_config(rc);
+  kern::Kernel k(kc);
+  workloads::MemcachedConfig mc;
+  mc.n_workers = 8;
+  workloads::MemcachedSim server(k, mc);
+  server.start();
+  workloads::MutilateConfig cc;
+  cc.rate_ops_per_sec = 200000;
+  cc.until = 100_ms;
+  cc.seed = 5;
+  workloads::MutilateClient client(server, cc);
+  client.start();
+  k.run_until(150_ms);
+  MemcachedRun r{server.completed(), to_us(server.latencies().p99()), 0, {}};
+  server.stop();
+  k.run_to_exit(k.now() + 1_s);
+  r.events_fired = k.engine().events_fired();
+  r.engine = k.engine().counts();
+  return r;
+}
+
 TEST(Determinism, MemcachedRunsReproduce) {
-  auto run = [] {
-    RunConfig rc;
-    rc.cpus = 4;
-    rc.sockets = 1;
-    rc.features = core::Features::optimized();
-    auto kc = metrics::make_kernel_config(rc);
-    kern::Kernel k(kc);
-    workloads::MemcachedConfig mc;
-    mc.n_workers = 8;
-    workloads::MemcachedSim server(k, mc);
-    server.start();
-    workloads::MutilateConfig cc;
-    cc.rate_ops_per_sec = 200000;
-    cc.until = 100_ms;
-    cc.seed = 5;
-    workloads::MutilateClient client(server, cc);
-    client.start();
-    k.run_until(150_ms);
-    const auto done = server.completed();
-    const auto p99 = to_us(server.latencies().p99());
-    server.stop();
-    k.run_to_exit(k.now() + 1_s);
-    return std::make_pair(done, p99);
-  };
-  const auto a = run();
-  const auto b = run();
-  EXPECT_EQ(a.first, b.first);
-  EXPECT_DOUBLE_EQ(a.second, b.second);
+  const MemcachedRun a = run_memcached();
+  const MemcachedRun b = run_memcached();
+  EXPECT_EQ(a.completed, b.completed);
+  EXPECT_DOUBLE_EQ(a.p99_us, b.p99_us);
+}
+
+// The engine's exact heap counts for one fixed-seed kernel run, recorded
+// with the engine's earlier std::priority_queue. Any exact queue pops the
+// same entries in the same order, so a change of heap must leave all of
+// them unchanged.
+TEST(Determinism, EngineHeapCountsArePinned) {
+  const MemcachedRun r = run_memcached();
+  EXPECT_EQ(r.events_fired, 568312u);
+  EXPECT_EQ(r.engine.pushes, 574693u);
+  EXPECT_EQ(r.engine.stale_pops, 6373u);
+  EXPECT_EQ(r.engine.peak_depth, 16u);
 }
 
 // The tracing property from src/trace/trace.h: a trace is a pure function of
